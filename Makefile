@@ -56,21 +56,28 @@ bench-check:
 	$(PYTHON) -m repro.obs.regress check
 
 # Sweep-scale smoke: run a 64-cell grid chunked at workers=2, stop it
-# on purpose after 24 cells (exit 75 = resumable), then resume from the
-# outcome journal and finish — the kill-and-resume path CI exercises.
-# Artifacts: the journal plus the SweepMonitor JSONL progress stream.
+# on purpose after 24 cells (exit 75 = resumable), then re-run against
+# the warm result cache and finish — the kill-and-resume path CI
+# exercises.  The resumed run must serve exactly the 24 finished cells
+# from the cache and execute the other 40, so no cell runs twice.
+# Artifacts: the cache manifest plus the SweepMonitor JSONL stream.
 sweep-smoke:
 	mkdir -p build
-	rm -f build/sweep-journal.jsonl build/sweep-smoke.jsonl
+	rm -rf build/sweep-cache build/sweep-smoke.jsonl
 	$(PYTHON) -m repro.runner sweep --cells 64 --workers 2 --chunk-size 4 \
-		--journal build/sweep-journal.jsonl --stop-after 24 \
+		--cache-dir build/sweep-cache --stop-after 24 \
 		--monitor-jsonl build/sweep-smoke.jsonl; \
 		status=$$?; \
 		if [ $$status -ne 75 ]; then \
 			echo "expected resumable exit 75, got $$status"; exit 1; fi
 	$(PYTHON) -m repro.runner sweep --cells 64 --workers 2 --chunk-size 4 \
-		--journal build/sweep-journal.jsonl \
-		--monitor-jsonl build/sweep-smoke.jsonl
+		--cache-dir build/sweep-cache \
+		--monitor-jsonl build/sweep-smoke.jsonl > build/sweep-resume.txt; \
+		status=$$?; cat build/sweep-resume.txt; \
+		if [ $$status -ne 0 ]; then exit $$status; fi
+	grep -q '"cached": 24,' build/sweep-resume.txt
+	grep -q '"executed": 40,' build/sweep-resume.txt
+	grep -q '"remaining": 0,' build/sweep-resume.txt
 
 # Serving smoke: a small open-loop serving run with a crash at 60% of
 # the arrival horizon, asserting the latency percentiles (p50/p99/p999),

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Callable, Dict, Iterable, Optional, Union
+from typing import Dict, Iterable
 
 from repro.core.prestore import PatchConfig, PrestoreMode
 from repro.sim.machine import MachineSpec
@@ -63,51 +62,31 @@ def run_variants(
     modes: Iterable[PrestoreMode],
     seed: int = 1234,
     endorsed_only: bool = True,
-    obs: bool = False,
-    progress: Optional[Callable[[str], None]] = None,
-    workers: Optional[int] = None,
-    cache_dir: Optional[Union[str, Path]] = None,
-    chunk_size: Optional[int] = None,
 ) -> Dict[PrestoreMode, RunResult]:
     """Run one workload configuration under several pre-store modes.
 
     ``make_workload`` is a zero-argument factory (a fresh instance per
     run keeps the runs independent).
 
-    Execution goes through :mod:`repro.runner`: each mode becomes one
-    :class:`~repro.runner.Cell`, sharded across ``workers`` processes
-    (``workers``/``cache_dir`` default to the ambient
-    :func:`~repro.runner.runner_session`, serial and uncached when none
+    The modes form a one-axis :class:`~repro.runner.Grid` executed by
+    :func:`~repro.runner.execute_cells`, so workers, the result cache
+    and chunking come from the ambient
+    :func:`~repro.runner.runner_session` (serial and uncached when none
     is active).  Results are bit-identical whatever the worker count,
-    and cache hits skip simulation entirely.  Progress and the
-    :mod:`repro.obs` structured log get one worker-tagged line per
-    completed variant.  ``obs=True`` additionally attaches a fresh
-    :class:`~repro.obs.ObsCollector` per run, leaving each variant's
-    sampled timeline on its ``RunResult.timeline``.
+    and cache hits skip simulation entirely.
     """
-    from repro.runner import Cell, execute_cells
+    from repro.runner import Grid, execute_cells
 
     modes = list(modes)
-    cells = [
-        Cell(
-            make_workload=make_workload,
-            spec=spec,
-            mode=mode,
-            seed=seed,
-            endorsed_only=endorsed_only,
-            obs=obs,
-        )
-        for mode in modes
-    ]
+    grid = Grid(
+        factories=[make_workload],
+        machines=[spec],
+        modes=modes,
+        seeds=[seed],
+        endorsed_only=endorsed_only,
+    )
     # Experiments need every variant's numbers: a failed cell raises
     # CellExecutionError (with all other outcomes attached) rather than
     # silently feeding a None result into the figures.
-    outcomes = execute_cells(
-        cells,
-        workers=workers,
-        cache=cache_dir,
-        chunk_size=chunk_size,
-        progress=progress,
-        on_error="raise",
-    )
+    outcomes = execute_cells(grid.cells(), on_error="raise")
     return {mode: outcome.result for mode, outcome in zip(modes, outcomes)}

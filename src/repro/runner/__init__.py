@@ -28,7 +28,7 @@ from repro.runner.cells import (
     describe_factory,
     run_cell,
 )
-from repro.runner.grid import Grid, load_journal, run_grid
+from repro.runner.grid import Grid, run_grid
 from repro.runner.monitor import SweepEvent, SweepMonitor, replay_outcomes
 from repro.runner.pool import (
     CellOutcome,
@@ -55,7 +55,6 @@ __all__ = [
     "code_fingerprint",
     "describe_factory",
     "execute_cells",
-    "load_journal",
     "replay_outcomes",
     "retry_delay",
     "run_cell",

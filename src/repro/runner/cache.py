@@ -241,6 +241,13 @@ class ResultCache:
         self._touch(key, path)
         return text
 
+    def __contains__(self, key: object) -> bool:
+        """Whether ``key`` has a stored payload (no stats, no recency bump)."""
+        if not isinstance(key, str):
+            return False
+        paths = [self._payload_path(key)] + [payload for payload, _meta in self._legacy_paths(key)]
+        return any(path.is_file() for path in paths)
+
     def _load_legacy(self, key: str) -> Optional[str]:
         """Read-through an old-layout entry, migrating it into the shard."""
         for payload, meta in self._legacy_paths(key):

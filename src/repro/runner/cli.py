@@ -5,7 +5,7 @@ Examples::
     python -m repro.runner bench --workers 4 --out BENCH_runner.json
     python -m repro.runner bench --cells 64 --workers-sweep 1,2,4,8
     python -m repro.runner bench --watch --monitor-jsonl build/sweep.jsonl
-    python -m repro.runner sweep --cells 64 --workers 2 --journal build/j.jsonl
+    python -m repro.runner sweep --cells 64 --workers 2 --cache-dir build/sweep-cache
     python -m repro.runner sweep --cells 64 --stop-after 20   # exits 75: resume me
     python -m repro.runner cache --dir build/runner-cache
     python -m repro.runner cache --dir build/runner-cache --gc
@@ -13,11 +13,13 @@ Examples::
 
 ``bench`` times the comparison phases and writes ``BENCH_runner.json``
 (``--cells``/``--workers-sweep`` grow the grid and record a scaling
-curve).  ``sweep`` executes a demo grid *resumably*: terminal outcomes
-append to ``--journal`` as they land, a re-run skips completed cells,
-and ``--stop-after N`` stops early on purpose (exit code 75, the
-sysexits EX_TEMPFAIL convention: partial progress, run me again) — the
-deterministic stand-in for a killed sweep in the CI smoke job.
+curve).  ``sweep`` executes a demo grid *resumably*: every finished
+cell lands in the ``--cache-dir`` result cache as it completes, a re-run
+serves those cells as cache hits and executes only the rest, and
+``--stop-after N`` stops early on purpose after N uncached cells (exit
+code 75, the sysexits EX_TEMPFAIL convention: partial progress, run me
+again) — the deterministic stand-in for a killed sweep in the CI smoke
+job.
 
 ``--watch`` attaches a :class:`~repro.runner.monitor.SweepMonitor` and
 live-refreshes a fleet dashboard (worker utilisation, cache hit-rate,
@@ -43,7 +45,7 @@ from repro.runner.grid import run_grid
 from repro.runner.monitor import SweepEvent, SweepMonitor
 
 #: sysexits.h EX_TEMPFAIL: the sweep stopped with work remaining —
-#: rerun the same command to resume from the journal.
+#: rerun the same command to resume from the result cache.
 EXIT_RESUMABLE = 75
 
 
@@ -141,29 +143,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="write the per-cell CellOutcome list for every bench phase here (JSON)",
     )
 
-    sweep = sub.add_parser("sweep", help="run a demo grid resumably (journal + skip)")
+    sweep = sub.add_parser("sweep", help="run a demo grid resumably (cache + skip)")
     sweep.add_argument("--cells", type=int, default=64, metavar="N", help="grid size")
     sweep.add_argument("--workers", type=int, default=2)
     sweep.add_argument("--chunk-size", type=int, default=None, help="cells per dispatch chunk")
     sweep.add_argument("--retries", type=int, default=1)
     sweep.add_argument("--full", action="store_true", help="bigger grids (slower)")
-    sweep.add_argument("--cache-dir", default=None, help="optional ResultCache directory")
     sweep.add_argument(
-        "--journal",
-        default="build/sweep-journal.jsonl",
-        help="outcome journal path (appended as cells finish)",
-    )
-    sweep.add_argument(
-        "--no-resume",
-        action="store_true",
-        help="ignore completed cells already in the journal; re-run everything",
+        "--cache-dir",
+        default="build/sweep-cache",
+        help="ResultCache directory (a re-run resumes from it)",
     )
     sweep.add_argument(
         "--stop-after",
         type=int,
         default=None,
         metavar="N",
-        help="execute at most N pending cells, then exit 75 if work remains",
+        help="execute at most N uncached cells, then exit 75 if work remains",
     )
     sweep.add_argument("--verbose", action="store_true", help="log per-cell progress")
     sweep.add_argument("--watch", action="store_true", help="live sweep dashboard")
@@ -223,7 +219,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.verbose:
             basic_config()
         cells = bench_cells(full=args.full, count=args.cells)
-        store = ResultCache(args.cache_dir) if args.cache_dir else None
+        store = ResultCache(args.cache_dir)
         monitor = None
         events = None
         if args.watch or args.monitor_jsonl:
@@ -232,8 +228,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             outcomes = run_grid(
                 cells,
-                journal=args.journal,
-                resume=not args.no_resume,
                 limit=args.stop_after,
                 events=events,
                 workers=args.workers,
@@ -244,16 +238,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         finally:
             if monitor is not None:
                 monitor.close()
-        resumed = sum(1 for o in outcomes if o.worker == "journal")
+        cached = sum(1 for o in outcomes if o.cached)
         failed = sum(1 for o in outcomes if o.status in ("failed", "timeout"))
         summary = {
             "cells": len(cells),
-            "resumed": resumed,
-            "executed": len(outcomes) - resumed,
-            "cached": sum(1 for o in outcomes if o.cached) - resumed,
+            "cached": cached,
+            "executed": len(outcomes) - cached,
             "failed": failed,
             "remaining": len(cells) - len(outcomes),
-            "journal": args.journal,
+            "cache_dir": args.cache_dir,
         }
         print(json.dumps(summary, indent=2))
         if args.monitor_jsonl:

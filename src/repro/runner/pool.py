@@ -130,8 +130,8 @@ class CellOutcome:
     #: determinism tests compare); None when there is no result.
     result_json: Optional[str]
     run_id: str
-    #: ``pid<N>`` of the process that simulated, ``"cache"``, or
-    #: ``"journal"`` for outcomes resumed from a sweep journal.
+    #: ``pid<N>`` of the process that simulated, ``"cache"`` for a
+    #: cache hit, or ``"none"`` when the cell produced no result.
     worker: str
     cached: bool
     wall_s: float

@@ -1,14 +1,13 @@
-"""Unit tests for the analysis utilities (ipmctl, perf, sweep, tables)."""
+"""Unit tests for the analysis utilities (ipmctl, tables) and the perf-style filter."""
 
 import math
 
 import pytest
 
 from repro.analysis.ipmctl import MediaCounters, read_media_counters
-from repro.analysis.perf import profile_store_time
-from repro.analysis.sweep import sweep
 from repro.analysis.tables import format_table
-from repro.core.prestore import PatchConfig, PrestoreMode
+from repro.core.prestore import PatchConfig
+from repro.dirtbuster import DirtBuster, DirtBusterConfig
 from repro.workloads.microbench import Listing1
 from repro.workloads.phoronix import ReadMostlyWorkload
 
@@ -30,30 +29,19 @@ class TestIpmctl:
 
 
 class TestPerf:
+    """Section 7.1's perf filter is DirtBuster's sampling pass."""
+
     def test_write_heavy_vs_read_heavy(self, tiny_machine_a):
         writer = Listing1(element_size=1024, num_elements=256, iterations=300)
         reader = ReadMostlyWorkload("pytorch", "stream", scale=200)
-        wp = profile_store_time(writer, tiny_machine_a, sampling_period=53)
-        rp = profile_store_time(reader, tiny_machine_a, sampling_period=53)
-        assert wp.write_intensive
-        assert not rp.write_intensive
-        assert wp.store_share > rp.store_share
-        assert "listing1_loop" in dict(wp.top_functions)
-        assert "store" in wp.render() or "%" in wp.render()
-
-
-class TestSweep:
-    def test_sweep_covers_grid(self, tiny_machine_a):
-        points = sweep(
-            lambda size: Listing1(element_size=size, num_elements=64, iterations=100),
-            tiny_machine_a,
-            values=(256, 1024),
-            modes=(PrestoreMode.NONE, PrestoreMode.CLEAN),
-        )
-        assert len(points) == 4
-        combos = {(p.parameter, p.mode) for p in points}
-        assert (256, PrestoreMode.CLEAN) in combos
-        assert all(p.cycles > 0 for p in points)
+        dirtbuster = DirtBuster(DirtBusterConfig(sampling_period=53))
+        wp = dirtbuster.sample(writer, tiny_machine_a)
+        rp = dirtbuster.sample(reader, tiny_machine_a)
+        assert wp.application_write_intensive()
+        assert not rp.application_write_intensive()
+        assert wp.application_store_fraction > rp.application_store_fraction
+        heaviest = max(wp.functions(), key=lambda f: f.stores)
+        assert heaviest.function == "listing1_loop"
 
 
 class TestTables:

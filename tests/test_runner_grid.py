@@ -1,10 +1,11 @@
-"""Grid expansion and resumable execution via the outcome journal."""
+"""Grid expansion and resumable execution against a warm result cache."""
 
 import functools
 import json
+import os
 
 from repro.core.prestore import PrestoreMode
-from repro.runner import Grid, cache_key, load_journal, run_grid
+from repro.runner import Grid, ResultCache, cache_key, run_grid, runner_session
 from repro.sim.machine import machine_a, machine_b_fast
 from repro.workloads.microbench import Listing1
 
@@ -64,98 +65,103 @@ class TestExpansion:
 
 class TestResume:
     def test_fresh_and_resumed_runs_are_bit_identical(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
+        cache = ResultCache(tmp_path)
         grid = _grid()
-        fresh = run_grid(grid, journal=journal, workers=1)
+        fresh = run_grid(grid, workers=1, cache=cache)
         assert all(o.status == "ok" for o in fresh)
-        resumed = run_grid(grid, journal=journal, workers=1)
+        resumed = run_grid(grid, workers=1, cache=cache)
         assert [o.result_json for o in resumed] == [o.result_json for o in fresh]
-        assert all(o.worker == "journal" and o.cached for o in resumed)
+        assert all(o.worker == "cache" and o.cached for o in resumed)
         assert all(o.attempts == 0 for o in resumed)
 
     def test_limit_stops_early_and_resume_finishes(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
+        cache = ResultCache(tmp_path)
         grid = _grid(seeds=(1, 2, 3))  # 6 cells
-        partial = run_grid(grid, journal=journal, limit=2, workers=1)
+        partial = run_grid(grid, limit=2, workers=1, cache=cache)
         assert len(partial) == 2
-        assert len(load_journal(journal)) == 2
-        final = run_grid(grid, journal=journal, workers=1)
+        assert len(cache) == 2
+        # The limit counts only uncached cells: the 2 stored ones come
+        # back as hits alongside 2 newly executed ones.
+        more = run_grid(grid, limit=2, workers=1, cache=cache)
+        assert [o.cached for o in more] == [True, True, False, False]
+        final = run_grid(grid, workers=1, cache=cache)
         assert len(final) == len(grid)
-        assert sum(1 for o in final if o.worker == "journal") == 2
+        assert sum(1 for o in final if o.cached) == 4
         # Merged outcomes come back in grid order, byte-identical to a
         # never-interrupted run.
-        reference = run_grid(grid, journal=None, workers=1)
+        reference = run_grid(grid, workers=1)
         assert [o.result_json for o in final] == [o.result_json for o in reference]
 
+    def test_limit_reaches_the_ambient_session_cache(self, tmp_path):
+        grid = _grid(seeds=(3,))
+        with runner_session(cache_dir=tmp_path):
+            run_grid(grid, limit=1)
+            resumed = run_grid(grid, limit=0)
+        assert [o.cached for o in resumed] == [True]
+
+    def test_stopped_serial_sweep_resumed_pooled_matches_uninterrupted(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        grid = _grid(seeds=(1, 2, 3))
+        partial = run_grid(grid, limit=3, workers=1, cache=cache)
+        assert len(partial) == 3
+        resumed = run_grid(grid, workers=2, chunk_size=1, cache=cache)
+        assert sum(1 for o in resumed if o.cached) == 3
+        # The rest really ran in pool workers, not in this process.
+        assert f"pid{os.getpid()}" not in {o.worker for o in resumed if not o.cached}
+        reference = run_grid(grid, workers=1)
+        assert [o.result_json for o in resumed] == [o.result_json for o in reference]
+
     def test_resume_skips_the_workload_factory_entirely(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
+        cache = ResultCache(tmp_path)
         grid = Grid(factories=(_spy_factory,), machines=(machine_a(),), modes=MODES, seeds=(9,))
         _spy_factory.calls = 0
-        run_grid(grid, journal=journal, workers=1)
+        run_grid(grid, workers=1, cache=cache)
         calls_after_fresh = _spy_factory.calls
         assert calls_after_fresh == len(grid)
-        run_grid(grid, journal=journal, workers=1)
+        run_grid(grid, workers=1, cache=cache)
         assert _spy_factory.calls == calls_after_fresh  # nothing re-ran
 
-    def test_no_resume_reruns_everything(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
-        grid = _grid(seeds=(4,))
-        run_grid(grid, journal=journal, workers=1)
-        rerun = run_grid(grid, journal=journal, resume=False, workers=1)
-        assert all(o.worker != "journal" for o in rerun)
-
-    def test_torn_journal_line_is_tolerated(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
+    def test_torn_manifest_tail_is_tolerated(self, tmp_path):
         grid = _grid()
-        run_grid(grid, journal=journal, workers=1)
-        with open(journal, "a") as fh:
-            fh.write('{"kind": "outcome", "key": "torn-by')  # kill -9 mid-write
-        resumed = run_grid(grid, journal=journal, workers=1)
-        assert all(o.worker == "journal" for o in resumed)
+        fresh = run_grid(grid, workers=1, cache=ResultCache(tmp_path))
+        with open(tmp_path / "manifest.jsonl", "a") as fh:
+            fh.write('{"op": "add", "key": "torn-by')  # kill -9 mid-append
+        resumed = run_grid(grid, workers=1, cache=ResultCache(tmp_path))
+        assert all(o.worker == "cache" for o in resumed)
+        assert [o.result_json for o in resumed] == [o.result_json for o in fresh]
 
-    def test_failed_cells_are_journalled_but_not_resumed(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
+    def test_failed_cells_are_not_stored_and_rerun(self, tmp_path):
+        cache = ResultCache(tmp_path)
         boom = functools.partial(_always_raises)
         grid = Grid(factories=(boom,), machines=(machine_a(),), modes=MODES, seeds=(1,))
-        first = run_grid(grid, journal=journal, workers=1)
+        first = run_grid(grid, workers=1, cache=cache)
         assert all(o.status == "failed" for o in first)
-        lines = [json.loads(line) for line in journal.read_text().splitlines()]
-        outcome_lines = [d for d in lines if d["kind"] == "outcome"]
-        assert len(outcome_lines) == len(grid)
-        assert all("result_json" not in d for d in outcome_lines)
-        # Failures never resume: the cells run (and fail) again.
-        again = run_grid(grid, journal=journal, workers=1)
-        assert all(o.status == "failed" and o.worker != "journal" for o in again)
-
-    def test_begin_lines_record_schema_and_fingerprint(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
-        run_grid(_grid(seeds=(1,)), journal=journal, workers=1)
-        begin = json.loads(journal.read_text().splitlines()[0])
-        assert begin["kind"] == "begin"
-        assert begin["schema"] == "repro.sweep_journal/v1"
-        assert begin["total"] == 2 and begin["resumed"] == 0
-        assert begin["fingerprint"]
-
-    def test_journal_composes_with_result_cache(self, tmp_path):
-        from repro.runner import ResultCache
-
-        journal = tmp_path / "journal.jsonl"
-        cache = ResultCache(tmp_path / "cache")
-        grid = _grid(seeds=(6,))
-        fresh = run_grid(grid, journal=journal, workers=1, cache=cache)
-        # Wipe the journal but keep the cache: outcomes come back as
-        # cache hits with the same bytes.
-        journal.unlink()
-        cached = run_grid(grid, journal=journal, workers=1, cache=cache)
-        assert all(o.worker == "cache" for o in cached)
-        assert [o.result_json for o in cached] == [o.result_json for o in fresh]
+        assert len(cache) == 0
+        # Failures never resume: the cells run (and fail) again, and a
+        # limit still counts them as pending.
+        again = run_grid(grid, limit=1, workers=1, cache=cache)
+        assert len(again) == 1
+        assert again[0].status == "failed" and again[0].worker != "cache"
 
     def test_events_still_reach_the_user_bus(self, tmp_path):
         from repro.runner.monitor import SweepMonitor
 
         monitor = SweepMonitor()
-        journal = tmp_path / "journal.jsonl"
         grid = _grid(seeds=(8,))
-        run_grid(grid, journal=journal, workers=1, events=monitor)
+        run_grid(grid, workers=1, cache=ResultCache(tmp_path), events=monitor)
         assert monitor.counts["ok"] == len(grid)
         assert monitor.inflight == 0
+
+
+class TestSweepCli:
+    def test_stop_after_exits_75_and_rerun_resumes_from_cache(self, tmp_path, capsys):
+        from repro.runner.cli import EXIT_RESUMABLE, main
+
+        argv = ["sweep", "--cells", "4", "--workers", "1", "--cache-dir", str(tmp_path)]
+        assert main(argv + ["--stop-after", "1"]) == EXIT_RESUMABLE
+        capsys.readouterr()
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        summary = json.loads(out[: out.index("}") + 1])
+        # The one finished cell is served from the cache, never re-run.
+        assert (summary["cached"], summary["executed"], summary["remaining"]) == (1, 3, 0)

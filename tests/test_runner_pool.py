@@ -10,6 +10,7 @@ from repro.core.prestore import PrestoreMode
 from repro.experiments.common import run_variants
 from repro.runner import (
     Cell,
+    Grid,
     ResultCache,
     active_session,
     cache_key,
@@ -107,14 +108,16 @@ class TestIntegration:
     def test_run_variants_workers_matches_serial(self, tiny_machine_a):
         factory = functools.partial(Listing1, element_size=512, num_elements=64, iterations=120)
         serial = run_variants(factory, tiny_machine_a, MODES, seed=7)
-        pooled = run_variants(factory, tiny_machine_a, MODES, seed=7, workers=2)
+        with runner_session(workers=2):
+            pooled = run_variants(factory, tiny_machine_a, MODES, seed=7)
         for mode in MODES:
             assert pooled[mode].to_json() == serial[mode].to_json()
 
-    def test_run_variants_progress_reports_every_cell(self, tiny_machine_a):
+    def test_execute_cells_progress_reports_every_cell(self, tiny_machine_a):
         lines = []
         factory = functools.partial(Listing1, element_size=512, num_elements=64, iterations=120)
-        run_variants(factory, tiny_machine_a, MODES, seed=7, progress=lines.append)
+        grid = Grid(factories=[factory], machines=[tiny_machine_a], modes=MODES, seeds=[7])
+        execute_cells(grid.cells(), progress=lines.append)
         assert len(lines) == len(MODES)
         assert all("listing1" in line for line in lines)
 
