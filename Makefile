@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint sanitize obs-demo bench bench-sim bench-check sweep-smoke serve-smoke faults crashcheck
+.PHONY: test lint sanitize obs-demo bench bench-sim bench-check sweep-smoke serve-smoke faults crashcheck dirtbuster-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -86,6 +86,24 @@ sweep-smoke:
 # (CI's serve-smoke job).
 serve-smoke:
 	$(PYTHON) -m repro.traffic smoke --ops 800 --keys 512 --value-size 512
+
+# DirtBuster smoke: analyse X9 on Machine B-fast end to end (~2 s),
+# check its Table 2 row (write-intensive, sequential, writes before
+# fence) and the demote pre-store choice for fill_msg(), then check
+# that an unknown workload is a usage error (exit 2), not a traceback
+# (CI's dirtbuster-smoke job).
+dirtbuster-smoke:
+	mkdir -p build
+	$(PYTHON) -m repro.dirtbuster.cli x9 --machine b-fast > build/dirtbuster-x9.txt; \
+		status=$$?; cat build/dirtbuster-x9.txt; \
+		if [ $$status -ne 0 ]; then exit $$status; fi
+	grep -Eq '^x9 +yes +yes +yes$$' build/dirtbuster-x9.txt
+	awk '/^fill_msg\(\)$$/ {f = 1} f && /^Pre-store choice:/ {print; exit}' \
+		build/dirtbuster-x9.txt | grep -qx 'Pre-store choice: demote'
+	$(PYTHON) -m repro.dirtbuster.cli nosuch 2> /dev/null; \
+		status=$$?; \
+		if [ $$status -ne 2 ]; then \
+			echo "expected usage-error exit 2 for an unknown workload, got $$status"; exit 1; fi
 
 # Crash-consistency self-check: seeded crash/fault matrix on machine A
 # and B-slow, asserting protocol durability, baseline vulnerability,

@@ -14,6 +14,7 @@ import sys
 from typing import List, Optional
 
 from repro.dirtbuster.runner import DirtBuster, DirtBusterConfig
+from repro.errors import TraceError, WorkloadError
 from repro.sim.machine import (
     machine_a,
     machine_a_cxl,
@@ -52,10 +53,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not args.workload:
         parser.error("give a workload name or --list")
 
-    workload = make_workload(args.workload)
+    try:
+        workload = make_workload(args.workload)
+    except WorkloadError as exc:
+        parser.error(str(exc))
     spec = _MACHINES[args.machine]()
     config = DirtBusterConfig(sampling_period=args.sampling_period)
-    report = DirtBuster(config).analyze(workload, spec, seed=args.seed)
+    try:
+        report = DirtBuster(config).analyze(workload, spec, seed=args.seed)
+    except TraceError as exc:  # a --sampling-period below 1
+        parser.error(str(exc))
     print(report.render())
     print()
     print("Table 2 row:")

@@ -15,8 +15,9 @@ scoping keeps threads from polluting each other's streams.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import AnalysisError
 
@@ -47,6 +48,9 @@ class SequentialContext:
         Rewriting at or before the context's end is not sequential
         progress — it is a rewrite, and treating it as adjacency would
         make Listing 3's hot line look like a sequential stream.
+
+        :class:`ContextTracker` evaluates this predicate through its
+        end-address index rather than by calling it per context.
         """
         return self.end <= addr <= self.end + slack
 
@@ -124,40 +128,67 @@ class ContextTracker:
     As in the paper, the number of contexts is unbounded: "In practice,
     we found that the write-intensive functions perform sequential writes
     on only a few objects."
+
+    Each stream indexes its contexts by end address, so a write only
+    looks at the ``slack + 1`` ends it could continue — one dict lookup
+    at ``slack=0`` — however many contexts the stream holds.  The result
+    is exactly that of scanning the contexts most recently extended
+    first and taking the first :meth:`SequentialContext.adjacent` one.
     """
 
     def __init__(self, slack: int = 64) -> None:
         if slack < 0:
             raise AnalysisError(f"slack must be non-negative, got {slack}")
         self.slack = slack
-        #: (core, function) -> open contexts, most recently extended last.
-        self._streams: Dict[Tuple[int, str], List[SequentialContext]] = {}
+        #: (core, function) -> (by_end, recency).  ``recency`` maps a
+        #: context's last-touch stamp to the context; deleting and
+        #: re-inserting on every extension keeps its insertion order equal
+        #: to least-to-most recently extended.  ``by_end`` maps an end
+        #: address to the stamps of the contexts ending there, oldest
+        #: first, so the last stamp is the tie-break winner.
+        self._streams: Dict[
+            Tuple[int, str], Tuple[Dict[int, List[int]], Dict[int, SequentialContext]]
+        ] = {}
         #: function -> write count.
         self._write_counts: Dict[str, int] = {}
+        self._clock = itertools.count()
 
     def observe_write(self, core_id: int, function: str, addr: int, size: int) -> SequentialContext:
         """Feed one write; returns the context it joined (maybe new)."""
         self._write_counts[function] = self._write_counts.get(function, 0) + 1
-        contexts = self._streams.setdefault((core_id, function), [])
-        # Scan most-recently-used first: sequential streams keep hitting
-        # the same context, so this is O(1) amortised.
-        for i in range(len(contexts) - 1, -1, -1):
-            ctx = contexts[i]
-            if ctx.adjacent(addr, self.slack):
-                ctx.extend(addr, size)
-                if i != len(contexts) - 1:
-                    contexts.append(contexts.pop(i))
-                return ctx
-        ctx = SequentialContext(start=addr, end=addr + size)
-        contexts.append(ctx)
+        stream = self._streams.get((core_id, function))
+        if stream is None:
+            stream = self._streams[(core_id, function)] = ({}, {})
+        by_end, recency = stream
+        # The adjacent contexts are those ending in [addr - slack, addr];
+        # the most recently extended of them wins.
+        best: Optional[List[int]] = None
+        for end in range(addr - self.slack, addr + 1):
+            stamps = by_end.get(end)
+            if stamps is not None and (best is None or stamps[-1] > best[-1]):
+                best = stamps
+        if best is None:
+            ctx = SequentialContext(start=addr, end=addr + size)
+        else:
+            ctx = recency.pop(best.pop())
+            if not best:
+                del by_end[ctx.end]
+            ctx.extend(addr, size)
+        stamp = next(self._clock)
+        recency[stamp] = ctx
+        stamps = by_end.get(ctx.end)
+        if stamps is None:
+            by_end[ctx.end] = [stamp]
+        else:
+            stamps.append(stamp)
         return ctx
 
     def summary(self, function: str) -> SequentialitySummary:
         """The sequentiality report for one function (all cores merged)."""
         contexts: List[SequentialContext] = []
-        for (core_id, fn), stream in self._streams.items():
+        for (_, fn), (_, recency) in self._streams.items():
             if fn == function:
-                contexts.extend(stream)
+                contexts.extend(recency.values())
         total = self._write_counts.get(function, 0)
         sequential = sum(c.writes for c in contexts if c.writes >= MIN_SEQUENTIAL_RUN)
         return SequentialitySummary(

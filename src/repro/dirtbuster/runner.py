@@ -165,7 +165,8 @@ class DirtBuster:
         functions = [c.function for c in candidates]
         patterns = self.instrument(workload, spec, functions, seed=seed)
         # Only report on the functions selected in step 1.
-        patterns = [p for p in patterns if p.function in set(functions)]
+        selected = set(functions)
+        patterns = [p for p in patterns if p.function in selected]
         recommendations = self.recommender.recommend_all(patterns)
         sequential = any(self.recommender.writes_sequentially(p) for p in patterns)
         fenced = any(self.recommender.writes_before_fence(p) for p in patterns)

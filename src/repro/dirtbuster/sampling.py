@@ -21,6 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import AnalysisError
 from repro.dirtbuster.trace import AccessRecord, SamplingTracer
+from repro.sim.event import EventKind
 
 __all__ = ["FunctionProfile", "SampleProfile", "WRITE_INTENSIVE_APP_THRESHOLD"]
 
@@ -76,27 +77,28 @@ class SampleProfile:
             raise AnalysisError(
                 "no samples collected — run longer or lower the sampling period"
             )
-        from repro.sim.event import EventKind
-
         self.other_samples = other_samples
         self.total_samples = len(samples) + other_samples
-        self.total_stores = sum(1 for s in samples if s.is_store)
+        total_stores = 0
         self._functions: Dict[str, FunctionProfile] = {}
         for sample in samples:
-            prof = self._functions.get(sample.function)
+            site = sample.site
+            prof = self._functions.get(site.function)
             if prof is None:
-                prof = FunctionProfile(
-                    function=sample.function, file=sample.site.file, line=sample.site.line
-                )
-                self._functions[sample.function] = prof
-            if sample.kind is EventKind.ATOMIC:
+                prof = FunctionProfile(function=site.function, file=site.file, line=site.line)
+                self._functions[site.function] = prof
+            kind = sample.kind
+            if kind is EventKind.ATOMIC:
                 prof.atomics += 1
-            elif sample.is_store:
+                total_stores += 1
+            elif kind is EventKind.WRITE:
                 prof.stores += 1
+                total_stores += 1
             else:
                 prof.loads += 1
-            chain = tuple(site.function for site in sample.callchain)
+            chain = tuple(caller.function for caller in sample.callchain)
             prof.callchains[chain] += 1
+        self.total_stores = total_stores
 
     @classmethod
     def from_tracer(cls, tracer: SamplingTracer) -> "SampleProfile":

@@ -18,8 +18,7 @@ Both implement :class:`repro.sim.machine.Tracer` and attach to a machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import TraceError
 from repro.sim.event import CodeSite, Event, EventKind
@@ -28,9 +27,8 @@ from repro.sim.machine import Tracer
 __all__ = ["AccessRecord", "SamplingTracer", "FullTracer"]
 
 
-@dataclass(frozen=True)
-class AccessRecord:
-    """One traced instruction.
+class AccessRecord(NamedTuple):
+    """One traced instruction (an immutable, hashable tuple).
 
     ``instr_index`` is the global retired-instruction counter at the time
     the instruction executed — the unit all DirtBuster distances are
@@ -64,13 +62,7 @@ class AccessRecord:
 
 def _record_of(core_id: int, event: Event, instr_index: int) -> AccessRecord:
     return AccessRecord(
-        instr_index=instr_index,
-        core_id=core_id,
-        kind=event.kind,
-        addr=event.addr,
-        size=event.size,
-        site=event.site,
-        callchain=event.callchain,
+        instr_index, core_id, event.kind, event.addr, event.size, event.site, event.callchain
     )
 
 
@@ -104,8 +96,8 @@ class SamplingTracer(Tracer):
         if not hits:
             return
         if event.is_memory_access:
-            for _ in range(hits):
-                self.samples.append(_record_of(core_id, event, instr_index))
+            # Records are immutable, so one burst shares a single record.
+            self.samples.extend([_record_of(core_id, event, instr_index)] * hits)
         else:
             self.other_samples += hits
 

@@ -77,6 +77,22 @@ class TestCLIs:
         assert main(["--list"]) == 0
         assert "nas-mg" in capsys.readouterr().out
 
+    def test_dirtbuster_cli_unknown_workload_is_usage_error(self, capsys):
+        from repro.dirtbuster.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["nosuch"])
+        assert exc.value.code == 2
+        assert "unknown workload 'nosuch'" in capsys.readouterr().err
+
+    def test_dirtbuster_cli_zero_sampling_period_is_usage_error(self, capsys):
+        from repro.dirtbuster.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["listing3", "--sampling-period", "0"])
+        assert exc.value.code == 2
+        assert "sampling period must be >= 1, got 0" in capsys.readouterr().err
+
     def test_experiments_cli_list(self, capsys):
         from repro.experiments.cli import main
 

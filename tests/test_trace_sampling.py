@@ -1,9 +1,12 @@
 """Unit tests for tracing and the perf-style sampler."""
 
+import json
+
 import pytest
 
+from repro.dirtbuster.export import dumps_record, loads_record
 from repro.dirtbuster.sampling import SampleProfile
-from repro.dirtbuster.trace import FullTracer, SamplingTracer
+from repro.dirtbuster.trace import AccessRecord, FullTracer, SamplingTracer
 from repro.errors import AnalysisError, TraceError
 from repro.sim.event import CodeSite, Event, EventKind
 
@@ -36,11 +39,72 @@ class TestSamplingTracer:
         tracer.record(0, _write(), 0, cycles=55.0)
         assert len(tracer.samples) == 5
 
+    def test_burst_records_equal_separately_built_records(self):
+        tracer = SamplingTracer(period=10)
+        ev = Event(
+            EventKind.WRITE,
+            addr=4096,
+            size=64,
+            site=CodeSite(function="memcpy"),
+            callchain=(CodeSite(function="put"),),
+        )
+        tracer.record(1, ev, 42, cycles=4 * 10.0)
+        expected = AccessRecord(
+            instr_index=42,
+            core_id=1,
+            kind=EventKind.WRITE,
+            addr=4096,
+            size=64,
+            site=ev.site,
+            callchain=ev.callchain,
+        )
+        assert tracer.samples == [expected] * 4
+        assert len(tracer) == 4
+
     def test_zero_cycle_events_unsampled(self):
         tracer = SamplingTracer(period=10)
         for i in range(100):
             tracer.record(0, _write(), i, cycles=0.0)
         assert len(tracer) == 0
+
+
+class TestAccessRecord:
+    def _record(self):
+        return AccessRecord(
+            instr_index=7,
+            core_id=2,
+            kind=EventKind.ATOMIC,
+            addr=128,
+            size=8,
+            site=CodeSite(function="lock", file="lock.c", line=12, ip=0x40),
+            callchain=(CodeSite(function="put", file="kv.c", line=3, ip=0x10),),
+        )
+
+    def test_properties(self):
+        rec = self._record()
+        assert rec.is_store and not rec.is_load and rec.has_fence_semantics
+        assert rec.function == "lock"
+
+    def test_export_round_trip_and_format(self):
+        rec = self._record()
+        line = dumps_record(rec)
+        assert loads_record(line) == rec
+        assert json.loads(line) == {
+            "v": 1,
+            "i": 7,
+            "c": 2,
+            "k": EventKind.ATOMIC.value,
+            "a": 128,
+            "s": 8,
+            "site": {"fn": "lock", "file": "lock.c", "line": 12, "ip": 0x40},
+            "chain": [{"fn": "put", "file": "kv.c", "line": 3, "ip": 0x10}],
+        }
+
+    def test_immutable_and_hashable(self):
+        rec = self._record()
+        with pytest.raises(AttributeError):
+            rec.addr = 0
+        assert {rec, self._record()} == {rec}
 
 
 class TestFullTracer:
@@ -112,6 +176,33 @@ class TestSampleProfile:
         # Function ranking: the lock's atomics do not outrank the writer.
         chosen = profile.write_intensive_functions(share_of_stores=0.5)
         assert [p.function for p in chosen] == ["writer"]
+
+    def test_hand_built_mix_of_reads_writes_and_atomics(self):
+        def rec(kind, fn, chain=()):
+            return AccessRecord(
+                0, 0, kind, 0, 8, CodeSite(function=fn),
+                tuple(CodeSite(function=c) for c in chain),
+            )
+
+        samples = (
+            [rec(EventKind.WRITE, "put", ("main",))] * 3
+            + [rec(EventKind.READ, "put", ("main",))] * 2
+            + [rec(EventKind.ATOMIC, "lock", ("put", "main"))] * 4
+            + [rec(EventKind.READ, "get")] * 5
+            + [rec(EventKind.WRITE, "put", ("other",))]
+        )
+        profile = SampleProfile(samples, other_samples=5)
+        assert profile.total_samples == 20
+        assert profile.total_stores == 8
+        counts = {
+            p.function: (p.loads, p.stores, p.atomics, dict(p.callchains))
+            for p in profile.functions()
+        }
+        assert counts == {
+            "put": (2, 4, 0, {("main",): 5, ("other",): 1}),
+            "lock": (0, 0, 4, {("put", "main"): 4}),
+            "get": (5, 0, 0, {(): 5}),
+        }
 
     def test_callchain_grouping(self):
         tracer = SamplingTracer(period=1)
