@@ -42,7 +42,7 @@ EVENT_METHODS = frozenset(
     {"read", "write", "compute", "fence", "atomic", "prestore", "post", "wait"}
 )
 #: ThreadCtx methods returning an event iterator (need ``yield from``).
-BLOCK_METHODS = frozenset({"write_block", "read_block", "memcpy", "memset"})
+BLOCK_METHODS = frozenset({"write_block", "read_block", "read_strided", "memcpy", "memset"})
 #: The store-producing subset (what provenance labelling is for).
 WRITE_METHODS = frozenset({"write", "atomic", "prestore", "write_block", "memset", "memcpy"})
 

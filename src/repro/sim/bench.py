@@ -90,6 +90,18 @@ def _seq_read_warm(t: ThreadCtx, buf_bytes: int, passes: int) -> Iterator[Event]
             yield from t.read_block(buf.base, buf_bytes)
 
 
+def _strided_read_warm(t: ThreadCtx, buf_bytes: int, passes: int) -> Iterator[Event]:
+    """Repeated 8-byte loads, one per line, over a cache-resident buffer.
+
+    Listing 2's read loop: the batched vocabulary emits one strided
+    STREAM_READ per pass (``chunk=64``, ``width=8``).
+    """
+    buf = t.alloc(buf_bytes, label="bench_strided")
+    with t.function("bench_strided_read", file="bench.py", line=7):
+        for _ in range(passes):
+            yield from t.read_strided(buf.base, buf_bytes // 64, 64, 8)
+
+
 #: Page size used to scramble the cold benchmarks: one stream event per
 #: page keeps the event sequence identical in both vocabularies while the
 #: page order defeats the set-sequential locality the ``seq_*`` cold
@@ -143,6 +155,7 @@ BENCHMARKS: Dict[str, Tuple[Callable[..., Iterator[Event]], Tuple[int, int], Tup
     "seq_write_warm": (_seq_write_warm, (16 * 1024, 400), (16 * 1024, 60)),
     "seq_write_cold": (_seq_write_cold, (2 * 1024 * 1024, 1), (256 * 1024, 1)),
     "seq_read_warm": (_seq_read_warm, (16 * 1024, 400), (16 * 1024, 60)),
+    "strided_read_warm": (_strided_read_warm, (16 * 1024, 400), (16 * 1024, 60)),
     "rand_write_cold": (_rand_write_cold, (1024 * 1024, 1), (128 * 1024, 1)),
     "rand_read_cold": (_rand_read_cold, (1024 * 1024, 1), (128 * 1024, 1)),
     "mixed_cold": (_mixed_cold, (1024 * 1024, 1), (128 * 1024, 1)),
@@ -229,7 +242,7 @@ def run_bench(
             doc["presets"][pname][bname] = entry
             ok = ok and entry["identical"]
             print(
-                f"{pname:16s} {bname:16s} "
+                f"{pname:16s} {bname:17s} "
                 f"ref {entry['reference']['events_per_sec']:>12,.0f} ev/s   "
                 f"fast {entry['fast']['events_per_sec']:>12,.0f} ev/s   "
                 f"x{entry['speedup']:.2f}  "

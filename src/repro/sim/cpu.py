@@ -213,7 +213,7 @@ class Core:
         """
         kind = event.kind
         if self._fast_policy:
-            if kind is EventKind.STREAM_WRITE and not event.nontemporal:
+            if kind is EventKind.STREAM_WRITE and not event.nontemporal and not event.width:
                 return self._stream_write_fast(event, strict_limit, loose_limit)
             if kind is EventKind.STREAM_READ:
                 return self._stream_read_fast(event, strict_limit, loose_limit)
@@ -224,13 +224,15 @@ class Core:
     def _stream_generic(
         self, event: Event, strict_limit: float, loose_limit: float
     ) -> Optional[Event]:
-        """Per-access expansion without fusion (NT writes, exotic policies).
+        """Per-access expansion without fusion (NT and strided writes,
+        exotic policies).
 
         Still skips the per-access generator round trip and validation,
         but runs every access through the reference handlers.
         """
         access_kind = EventKind.READ if event.kind is EventKind.STREAM_READ else EventKind.WRITE
         addr, size, chunk = event.addr, event.size, event.chunk
+        width = event.width or chunk
         nt, relaxed, site, chain = event.nontemporal, event.relaxed, event.site, event.callchain
         execute = self.execute
         offset = 0
@@ -240,9 +242,9 @@ class Core:
                 event.addr = addr + offset
                 event.size = size - offset
                 return event
-            length = chunk if size - offset >= chunk else size - offset
+            length = width if size - offset >= width else size - offset
             execute(Event.fast_access(access_kind, addr + offset, length, nt, relaxed, site, chain))
-            offset += length
+            offset += chunk
         return None
 
     def _fused_store_miss_vis(self, line: int, base: float, now: float, tail: float) -> float:
@@ -703,8 +705,11 @@ class Core:
         L1 hit (plus an owner-transfer charge) without allocations; cold
         single-line loads run the generic hierarchy walk inline (fills,
         evictions, the device read and the writebacks it pushes out)
-        without the per-event dispatch.  Only line-straddling chunks
-        fall back to the reference per-event path.
+        without the per-event dispatch.  Only line-straddling accesses
+        fall back to the reference per-event path.  Strided runs
+        (``width`` below ``chunk``) take the same loop: each access
+        starts ``chunk`` bytes after the previous one and covers
+        ``width`` bytes.
         """
         machine = self.machine
         line_size = machine.line_size
@@ -724,6 +729,7 @@ class Core:
         stats = self.stats
 
         addr, size, chunk = event.addr, event.size, event.chunk
+        width = event.width or chunk
         relaxed, site, chain = event.relaxed, event.site, event.callchain
         offset = 0
         clock = self.clock
@@ -733,7 +739,7 @@ class Core:
         while offset < size:
             if not (clock < strict_limit and clock <= loose_limit):
                 break
-            length = chunk if size - offset >= chunk else size - offset
+            length = width if size - offset >= width else size - offset
             a = addr + offset
             line = a // line_size
             if (a + length - 1) // line_size == line:
@@ -742,7 +748,7 @@ class Core:
                     # cache or device traffic.
                     n_fast += 1
                     clock += 1
-                    offset += length
+                    offset += chunk
                     continue
                 owner = line_owner.get(line)
                 if owner is None or owner == cid:
@@ -759,7 +765,7 @@ class Core:
                     n_hits += 1
                     on_access(l1_pstate[set_i], loc - set_i * l1_ways)
                     clock += l1_latency + transfer
-                    offset += length
+                    offset += chunk
                     continue
                 # Cold: the generic walk, inline.  Matches _do_read for
                 # a single non-forwarded line: fills and evictions, the
@@ -781,9 +787,9 @@ class Core:
                 if hit_lat > wait:
                     wait = hit_lat
                 clock += wait
-                offset += length
+                offset += chunk
                 continue
-            # Line-straddling chunk: reference path.
+            # Line-straddling access: reference path.
             self.clock = clock
             if n_fast:
                 stats.instructions += n_fast
@@ -796,7 +802,7 @@ class Core:
                 Event.fast_access(EventKind.READ, a, length, False, relaxed, site, chain)
             )
             clock = self.clock
-            offset += length
+            offset += chunk
 
         self.clock = clock
         if n_fast:

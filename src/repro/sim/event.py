@@ -148,6 +148,7 @@ _EVENT_FIELDS = (
     "site",
     "callchain",
     "chunk",
+    "width",
 )
 
 
@@ -157,8 +158,9 @@ class Event:
     ``addr``/``size`` describe the touched byte range for memory events.
     ``site`` and ``callchain`` carry the provenance DirtBuster needs;
     ``callchain`` is the tuple of caller sites, innermost last, exactly
-    like a perf callchain.  ``chunk`` is only meaningful for stream
-    events: the per-access byte granularity the run expands at.
+    like a perf callchain.  ``chunk`` and ``width`` are only meaningful
+    for stream events: access ``k`` starts at ``addr + k*chunk`` and
+    covers ``width`` bytes (``0``: the whole chunk), clipped to the run.
 
     The class uses ``__slots__`` and a hand-written constructor instead
     of a dataclass: the simulator allocates millions of these, and the
@@ -182,6 +184,7 @@ class Event:
         site: CodeSite = UNKNOWN_SITE,
         callchain: Tuple[CodeSite, ...] = (),
         chunk: int = 0,
+        width: int = 0,
     ) -> None:
         self.kind = kind
         self.addr = addr
@@ -195,6 +198,7 @@ class Event:
         self.site = site
         self.callchain = callchain
         self.chunk = chunk
+        self.width = width
         self._validate()
 
     def _validate(self) -> None:
@@ -224,6 +228,13 @@ class Event:
                 raise SimulationError(f"{kind.value} event requires addr >= 0 and size > 0")
             if self.chunk <= 0:
                 raise SimulationError(f"{kind.value} event requires a positive chunk")
+            if not 0 <= self.width <= self.chunk:
+                raise SimulationError(
+                    f"{kind.value} event requires 0 <= width <= chunk, "
+                    f"got width={self.width} chunk={self.chunk}"
+                )
+        elif self.width:
+            raise SimulationError(f"only stream events take a width, got {kind.value}")
 
     # -- fast constructors (simulator-internal hot paths) ------------------
 
@@ -242,6 +253,7 @@ class Event:
         site: CodeSite = UNKNOWN_SITE,
         callchain: Tuple[CodeSite, ...] = (),
         chunk: int = 0,
+        width: int = 0,
     ) -> "Event":
         """Build an event without validation (trusted, machine-built input)."""
         ev = object.__new__(cls)
@@ -257,6 +269,7 @@ class Event:
         ev.site = site
         ev.callchain = callchain
         ev.chunk = chunk
+        ev.width = width
         return ev
 
     @classmethod
@@ -284,6 +297,7 @@ class Event:
         ev.site = site
         ev.callchain = callchain
         ev.chunk = 0
+        ev.width = 0
         return ev
 
     @classmethod
@@ -297,15 +311,18 @@ class Event:
         relaxed: bool = False,
         site: CodeSite = UNKNOWN_SITE,
         callchain: Tuple[CodeSite, ...] = (),
+        width: int = 0,
     ) -> "Event":
-        """A batched run of sequential accesses over ``[addr, addr+size)``.
+        """A batched run of accesses over ``[addr, addr+size)``.
 
         ``kind`` may be the per-access kind (READ/WRITE) or the stream
         kind directly.  The machine expands the run into one access per
-        ``chunk`` bytes (the last access may be shorter), each counting
-        as one retired instruction — exactly the sequence
-        ``ThreadCtx.write_block``/``read_block`` would have yielded
-        event-by-event.
+        ``chunk`` bytes, each counting as one retired instruction —
+        exactly the sequence ``ThreadCtx.write_block``/``read_block``
+        (or, with a ``width`` below ``chunk``, ``read_strided``) would
+        have yielded event-by-event.  Access ``k`` starts at
+        ``addr + k*chunk`` and covers ``width`` bytes (``0``: the whole
+        chunk); the last access is clipped to the run.
         """
         if kind is EventKind.READ:
             kind = EventKind.STREAM_READ
@@ -322,6 +339,7 @@ class Event:
             relaxed=relaxed,
             site=site,
             callchain=callchain,
+            width=width,
         )
 
     @property
@@ -333,8 +351,9 @@ class Event:
         """Expand a stream into its per-access events (identity otherwise).
 
         Yields exactly the READ/WRITE sequence the machine scheduler
-        executes for this event: one access per ``chunk`` bytes, the last
-        possibly shorter, all carrying the stream's provenance.  Analyses
+        executes for this event: one access per ``chunk`` bytes, each
+        ``width`` bytes wide (the whole chunk when ``width`` is 0) and the
+        last possibly shorter, all carrying the stream's provenance.  Analyses
         that keep per-access state (the sanitizer passes, the crashcheck
         extractor) iterate this instead of special-casing stream kinds.
         """
@@ -343,9 +362,10 @@ class Event:
             return
         kind = _STREAM_ACCESS_KIND[self.kind]
         step = self.chunk
+        width = self.width or step
         offset = 0
         while offset < self.size:
-            length = min(step, self.size - offset)
+            length = min(width, self.size - offset)
             yield Event.fast_access(
                 kind,
                 self.addr + offset,
@@ -355,7 +375,7 @@ class Event:
                 self.site,
                 self.callchain,
             )
-            offset += length
+            offset += step
 
     @property
     def access_count(self) -> int:
@@ -374,7 +394,7 @@ class Event:
         return all(getattr(self, f) == getattr(other, f) for f in _EVENT_FIELDS)
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.addr, self.size, self.fence_scope, self.chunk))
+        return hash((self.kind, self.addr, self.size, self.fence_scope, self.chunk, self.width))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [self.kind.name]
@@ -409,7 +429,12 @@ class Event:
         return self.kind is EventKind.FENCE and self.fence_scope == "full"
 
     def lines(self, line_size: int) -> range:
-        """The cache-line numbers this event's byte range covers."""
+        """The cache-line numbers this event's byte range covers.
+
+        For a strided stream this is the whole span ``[addr, addr+size)``,
+        including lines its accesses may skip; per-access analyses
+        iterate :meth:`accesses` instead.
+        """
         if not (
             self.is_memory_access
             or self.kind is EventKind.PRESTORE
@@ -431,8 +456,9 @@ class Event:
         nt = ", nt" if self.nontemporal else ""
         rl = ", relaxed" if self.relaxed else ""
         if self.kind in STREAM_KINDS:
+            wd = f", width={self.width}" if self.width else ""
             return (
                 f"{self.kind.value}(addr={self.addr:#x}, size={self.size}, "
-                f"chunk={self.chunk}{nt}{rl})"
+                f"chunk={self.chunk}{wd}{nt}{rl})"
             )
         return f"{self.kind.value}(addr={self.addr:#x}, size={self.size}{extra}{nt}{rl})"

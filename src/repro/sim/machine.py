@@ -343,15 +343,20 @@ class Machine:
                 if leftover is None:
                     record_event = event
                 else:
+                    # A preempted run stops on an access boundary, so the
+                    # executed span ends ``chunk - width`` bytes past the
+                    # last byte a strided run touched: trim it.
+                    width = event.width
                     record_event = Event.fast(
                         kind=event.kind,
                         addr=start_addr,
-                        size=executed,
+                        size=executed - event.chunk + width if width else executed,
                         nontemporal=event.nontemporal,
                         relaxed=event.relaxed,
                         site=event.site,
                         callchain=event.callchain,
                         chunk=event.chunk,
+                        width=width,
                     )
                 for observer in observers:
                     observer.record(
@@ -364,6 +369,9 @@ class Machine:
     ) -> Optional[Event]:
         """Expand a stream through :meth:`step`, one access per chunk.
 
+        Access ``k`` starts ``k*chunk`` bytes into the run and covers
+        ``width`` bytes (the whole chunk when ``width`` is 0).
+
         This is the observer-fidelity path: every access becomes a real
         READ/WRITE record (and a real ``step`` call, so span profilers
         that wrap ``step`` see it too).  Events share the stream's
@@ -373,6 +381,7 @@ class Machine:
             EventKind.READ if event.kind is EventKind.STREAM_READ else EventKind.WRITE
         )
         addr, size, chunk = event.addr, event.size, event.chunk
+        width = event.width or chunk
         nt, relaxed = event.nontemporal, event.relaxed
         site, chain = event.site, event.callchain
         offset = 0
@@ -382,12 +391,12 @@ class Machine:
                 event.addr = addr + offset
                 event.size = size - offset
                 return event
-            length = chunk if size - offset >= chunk else size - offset
+            length = width if size - offset >= width else size - offset
             self.step(
                 core,
                 Event.fast_access(access_kind, addr + offset, length, nt, relaxed, site, chain),
             )
-            offset += length
+            offset += chunk
         return None
 
     def finish(self) -> RunResult:

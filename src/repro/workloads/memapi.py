@@ -293,6 +293,35 @@ class ThreadCtx:
             yield self.read(addr + offset, length, relaxed=relaxed)
             offset += length
 
+    def read_strided(
+        self, addr: int, count: int, stride: int, size: int = 8
+    ) -> Iterator[Event]:
+        """``count`` loads of ``size`` bytes, the ``k``-th at ``addr + k*stride``.
+
+        With :attr:`emit_streams` set, a run of more than one load
+        becomes one STREAM_READ whose ``chunk`` is the stride and whose
+        ``width`` is the load size.
+        """
+        if count < 0 or size <= 0 or stride < size:
+            raise WorkloadError(
+                f"read_strided needs count >= 0 and stride >= size > 0, "
+                f"got count={count} stride={stride} size={size}"
+            )
+        if self.emit_streams and count > 1:
+            site, chain = self._provenance()
+            yield Event.stream(
+                EventKind.READ,
+                addr=addr,
+                size=(count - 1) * stride + size,
+                chunk=stride,
+                width=size,
+                site=site,
+                callchain=chain,
+            )
+            return
+        for k in range(count):
+            yield self.read(addr + k * stride, size)
+
     def memcpy(self, dst: int, src: int, size: int) -> Iterator[Event]:
         """Load-then-store copy at line granularity."""
         step = self.line_size

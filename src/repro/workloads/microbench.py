@@ -137,14 +137,21 @@ class Listing2(Workload):
         l1_data = t.alloc(8 * 1024, label="L1_data")
         with t.function("listing2_loop", file="listing2.c", line=2):
             yield from t.read_block(l1_data.base, l1_data.size)  # warm
+            per_lap = l1_data.size // 64
             for _ in range(self.iterations):
                 idx = t.rng.randrange(self.num_elements)
                 addr = array.addr(idx * self.element_size)
                 yield t.write(addr, self.element_size)
                 if mode.op is not None:
                     yield t.prestore(addr, self.element_size, mode.op)
-                for i in range(self.reads_before_fence):
-                    yield t.read(l1_data.addr((i * 64) % l1_data.size), 8)
+                # Reads i = 0..n-1 hit L1_data[(i*64) % size]: one strided
+                # run per lap of the buffer.
+                left = self.reads_before_fence
+                while left:
+                    count = min(left, per_lap)
+                    l1_data.addr((count - 1) * 64)  # bounds check
+                    yield from t.read_strided(l1_data.base, count, 64, 8)
+                    left -= count
                 yield t.fence()
                 program.add_work(1)
 

@@ -136,6 +136,25 @@ class TestGates:
         _seed(history, doc=fast, fingerprint="fp-ccc", t=3.0)
         assert check_history(history).ok
 
+    def test_added_benchmark_cell_is_new_not_regressed(self, tmp_path):
+        # A cell added to repro.sim.bench.BENCHMARKS (e.g.
+        # strided_read_warm) has no predecessor point: its gated
+        # speedup/identical metrics report "new" and never fail the gate.
+        history = tmp_path / "hist.jsonl"
+        _seed(history, t=1.0)
+        grown = dict(RUNNER_DOC)
+        grown["sim"] = dict(
+            RUNNER_DOC["sim"], strided_read_warm={"speedup": 8.0, "identical": True}
+        )
+        _seed(history, doc=grown, fingerprint="fp-bbb", t=2.0)
+        report = check_history(history)
+        assert report.ok
+        added = {t.metric: t.verdict for t in report.trends if "strided" in t.metric}
+        assert added == {
+            "sim.strided_read_warm.speedup": "new",
+            "sim.strided_read_warm.identical": "new",
+        }
+
     def test_ungated_metrics_never_regress(self, tmp_path):
         history = tmp_path / "hist.jsonl"
         _seed(history, t=1.0)

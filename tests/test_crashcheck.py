@@ -224,3 +224,22 @@ def test_multithreaded_extraction_is_approximate(tiny_machine_a) -> None:
     assert not report.exact_indices
     assert report.threads == 2
     assert any(d.rule == "crashcheck.approximate-indices" for d in report.diagnostics)
+
+
+def test_extractor_sees_strided_reads_per_access(tiny_machine_b) -> None:
+    """Listing 2's strided read loop extracts to the same op sequence in
+    both vocabularies: one ``read`` op per 8-byte load."""
+    from repro.workloads.microbench import Listing2
+
+    def ops(streams):
+        workload = Listing2(reads_before_fence=160, iterations=6)
+        patches = patches_for(workload, PrestoreMode.DEMOTE)
+        ir = extract_ir(workload, tiny_machine_b, patches=patches, streams=streams)
+        return [
+            (op.kind, op.index, op.lines, op.versions, op.site.function, op.tid) for op in ir.ops
+        ]
+
+    batched, reference = ops(True), ops(False)
+    assert batched == reference
+    warm = 8 * 1024 // tiny_machine_b.line_size
+    assert sum(1 for op in batched if op[0] == "read") == warm + 160 * 6

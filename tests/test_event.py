@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.prestore import PrestoreOp
-from repro.errors import SimulationError
+from repro.errors import SimulationError, WorkloadError
 from repro.sim.event import CodeSite, Event, EventKind, Mailbox, UNKNOWN_SITE
+from repro.workloads.memapi import Allocator, ThreadCtx
 
 
 class TestEventValidation:
@@ -68,6 +69,60 @@ class TestEventProperties:
 
     def test_compute_touches_no_lines(self):
         assert list(Event(EventKind.COMPUTE, size=10).lines(64)) == []
+
+
+class TestStridedStreams:
+    """``width``: each access of a stream starts ``chunk`` bytes after the
+    previous one and covers ``width`` bytes (0: the whole chunk)."""
+
+    def test_rejects_width_above_chunk(self):
+        with pytest.raises(SimulationError):
+            Event.stream(EventKind.READ, addr=0, size=256, chunk=64, width=65)
+
+    def test_rejects_negative_width(self):
+        with pytest.raises(SimulationError):
+            Event.stream(EventKind.READ, addr=0, size=256, chunk=64, width=-1)
+
+    def test_rejects_width_on_non_stream_read(self):
+        with pytest.raises(SimulationError):
+            Event(EventKind.READ, addr=0, size=8, width=8)
+
+    @pytest.mark.parametrize(
+        "count,stride,width", [(1, 64, 8), (7, 64, 8), (5, 192, 24), (4, 8, 8)]
+    )
+    def test_access_count_is_ceil_size_over_chunk(self, count, stride, width):
+        size = (count - 1) * stride + width
+        ev = Event.stream(EventKind.READ, addr=64, size=size, chunk=stride, width=width)
+        assert ev.access_count == -(-size // stride) == count
+
+    @pytest.mark.parametrize(
+        "count,stride,width", [(2, 64, 8), (9, 64, 1), (5, 100, 40), (3, 192, 64)]
+    )
+    def test_accesses_match_read_strided_reference(self, count, stride, width):
+        t = ThreadCtx(tid=0, allocator=Allocator(64), line_size=64, seed=1)
+        base = 1 << 20
+        with t.function("scan", file="scan.c", line=3):
+            t.emit_streams = True
+            (stream,) = t.read_strided(base, count, stride, width)
+            t.emit_streams = False
+            reference = list(t.read_strided(base, count, stride, width))
+        assert stream.kind is EventKind.STREAM_READ
+        assert (stream.chunk, stream.width) == (stride, width)
+        assert list(stream.accesses()) == reference
+
+    def test_width_takes_part_in_equality(self):
+        a = Event.stream(EventKind.READ, addr=0, size=200, chunk=64, width=8)
+        b = Event.stream(EventKind.READ, addr=0, size=200, chunk=64, width=16)
+        assert a != b
+        assert a == Event.stream(EventKind.READ, addr=0, size=200, chunk=64, width=8)
+
+    @pytest.mark.parametrize("count,stride,size", [(-1, 64, 8), (3, 64, 0), (3, 4, 8)])
+    def test_read_strided_rejects_bad_arguments(self, count, stride, size):
+        for streams in (False, True):
+            t = ThreadCtx(tid=0, allocator=Allocator(64), line_size=64, seed=1)
+            t.emit_streams = streams
+            with pytest.raises(WorkloadError):
+                list(t.read_strided(1 << 20, count, stride, size))
 
 
 class TestCodeSite:

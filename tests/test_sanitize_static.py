@@ -65,6 +65,16 @@ class TestYieldIterator:
         flagged = [d for d in diagnostics if d.rule == "static.yield-iterator"]
         assert flagged and flagged[0].severity == "error"
 
+    def test_yield_of_read_strided_is_flagged(self):
+        diagnostics = _check(
+            """
+            def body(t: ThreadCtx):
+                r = t.alloc(4096)
+                yield t.read_strided(r.addr(0), 64, 64, 8)  # yields the iterator
+            """
+        )
+        assert "static.yield-iterator" in _rules(diagnostics)
+
     def test_yield_from_is_clean(self):
         diagnostics = _check(
             """

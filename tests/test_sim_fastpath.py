@@ -139,6 +139,88 @@ def test_random_streams_match_reference(ops_a, ops_b):
     assert results[True] == results[False]
 
 
+# -- property: strided reads -------------------------------------------------
+
+#: (width, start byte within its line): one access per line, a full line,
+#: and a width that straddles a line boundary.
+_WIDTHS = ((1, 0), (8, 0), (8, 60), (64, 0), (24, 48))
+
+_strided_op = st.one_of(
+    st.tuples(
+        st.just("strided"),
+        st.integers(min_value=0, max_value=40),  # start line
+        st.integers(min_value=0, max_value=20),  # access count
+        st.sampled_from(_WIDTHS),
+        st.integers(min_value=0, max_value=192),  # stride above the width
+    ),
+    # A line run of stores, or one 8-byte store: weak-model store-buffer
+    # forwarding for the strided reads that follow.
+    st.tuples(
+        st.just("write"),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=1, max_value=8),
+    ),
+    st.tuples(st.just("store"), st.integers(min_value=0, max_value=40 * 64)),
+    # No helper emits strided stores; they run the unfused generic loop.
+    st.tuples(
+        st.just("strided-write"),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=12),
+        st.sampled_from(_WIDTHS),
+        st.integers(min_value=0, max_value=192),
+    ),
+)
+
+
+def _strided_body(t, buf, ops):
+    line = t.line_size
+    with t.function("strided_fuzz", file="fuzz.c", line=1):
+        for op in ops:
+            if op[0] == "strided":
+                _, start, count, (width, skew), extra = op
+                stride = min(width + extra, 3 * line)
+                yield from t.read_strided(buf.base + start * line + skew, count, stride, width)
+            elif op[0] == "strided-write":
+                _, start, count, (width, skew), extra = op
+                stride = min(width + extra, 3 * line)
+                addr = buf.base + start * line + skew
+                if t.emit_streams and count:
+                    size = (count - 1) * stride + width
+                    yield Event.stream(EventKind.WRITE, addr, size, chunk=stride, width=width)
+                else:
+                    for k in range(count):
+                        yield Event(EventKind.WRITE, addr + k * stride, width)
+            elif op[0] == "write":
+                yield from t.write_block(buf.base + op[1] * line, op[2] * line)
+            else:
+                yield t.write(buf.base + op[1] // 8 * 8, 8)
+
+
+@pytest.mark.parametrize(
+    "preset", [lambda: machine_a(num_cores=2), machine_b_fast], ids=["machine_a", "machine_b_fast"]
+)
+@settings(max_examples=25, deadline=None)
+@given(
+    ops_a=st.lists(_strided_op, min_size=1, max_size=10),
+    ops_b=st.lists(_strided_op, min_size=0, max_size=10),
+)
+def test_random_strided_reads_match_reference(preset, ops_a, ops_b):
+    """Two threads of strided reads and stores over one shared buffer.
+
+    The second thread preempts and resumes the first's strided runs
+    mid-stream; the shared lines add owner transfers.
+    """
+    results = {}
+    for as_streams in (False, True):
+        program = Program(preset(), streams=as_streams)
+        buf = program.allocator.alloc(120 * 64, label="strided")
+        program.spawn(_strided_body, buf, ops_a)
+        if ops_b:
+            program.spawn(_strided_body, buf, ops_b)
+        results[as_streams] = program.run().to_json()
+    assert results[True] == results[False]
+
+
 # -- observer boundary -------------------------------------------------------
 
 
@@ -182,6 +264,56 @@ def test_batch_observer_gets_stream_records():
     assert stream_records, "batch-aware observer should receive stream records"
     # One record per run, covering the whole byte range.
     assert stream_records[0][3] == 8 * 64
+
+
+def _site_free(records):
+    """Access records minus the synthetic IPs each run's sites draw."""
+    return [
+        (r.instr_index, r.core_id, r.kind, r.addr, r.size, r.site.function, r.site.line)
+        for r in records
+    ]
+
+
+def test_dirtbuster_tracer_sees_listing2_strided_reads_per_access():
+    """DirtBuster's full tracer records the same per-access tuples for
+    Listing 2's strided read loop in both vocabularies."""
+    from repro.dirtbuster.trace import FullTracer
+    from repro.workloads.microbench import Listing2
+
+    captured = {}
+    for as_streams in (False, True):
+        tracer = FullTracer()
+        run = Listing2(reads_before_fence=160, iterations=30).run(
+            machine_b_fast(), tracer=tracer, streams=as_streams
+        )
+        captured[as_streams] = (run.run.to_json(), _site_free(tracer.records))
+    assert captured[True] == captured[False]
+    reads = [r for r in captured[True][1] if r[2] is EventKind.READ and r[4] == 8]
+    assert len(reads) == 160 * 30
+
+
+def test_batch_observer_gets_trimmed_strided_record():
+    """A preempted strided run reports the span it executed, ending at the
+    last byte its last access touched."""
+    rec = _BatchRecorder()
+    program = Program(machine_a(num_cores=2), tracer=rec, streams=True)
+    buf = program.allocator.alloc(64 * 64, label="strided")
+
+    def reader(t):
+        yield from t.read_strided(buf.base, 64, 64, 8)
+
+    def other(t):
+        for k in range(8):
+            yield t.write(buf.base + 8 + k * 512, 8)
+
+    program.spawn(reader)
+    program.spawn(other)
+    program.run()
+    runs = [r for r in rec.records if r[1] is EventKind.STREAM_READ]
+    assert len(runs) > 1, "the strided run should have been preempted"
+    assert sum(-(-size // 64) for _, _, _, size, _, _ in runs) == 64
+    for _, _, addr, size, _, _ in runs:
+        assert (addr - buf.base) % 64 == 0 and size % 64 == 8
 
 
 # -- fault plans x fast path --------------------------------------------------
