@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint sanitize obs-demo bench bench-sim bench-check sweep-smoke serve-smoke faults crashcheck dirtbuster-smoke
+.PHONY: test lint sanitize shapes obs-demo bench bench-sim bench-check sweep-smoke serve-smoke faults crashcheck dirtbuster-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -14,6 +14,31 @@ lint:
 
 sanitize:
 	$(PYTHON) -m repro.sanitize examples/quickstart.py
+
+# Paper shape gate: every experiment's check() in fast mode at seed
+# 1234 (about 2 minutes; CI's shapes job).  The experiments EXPERIMENTS.md
+# marks as failing (✘) are listed below, sorted.  The target fails when
+# any other experiment fails its check or raises, and also when a listed
+# one starts passing: the list is a ratchet, updated together with
+# EXPERIMENTS.md.
+SHAPES_KNOWN_FAILING := fig13 fig14 table2
+
+shapes:
+	mkdir -p build
+	$(PYTHON) -m repro.experiments.cli --all --seed 1234 > build/shapes.txt; \
+		status=$$?; \
+		if [ $$status -gt 1 ]; then echo "experiments CLI exited $$status"; exit 1; fi
+	@ran=$$(grep -c '^== ' build/shapes.txt); \
+		total=$$($(PYTHON) -m repro.experiments.cli --list | wc -l); \
+		if [ "$$ran" -ne "$$total" ]; then \
+			echo "only $$ran of $$total experiments ran (see build/shapes.txt)"; exit 1; fi; \
+		failing=$$(awk '/^== / {id = $$2; sub(/:$$/, "", id)} \
+			/^note: SHAPE CHECK FAILED/ {print id}' build/shapes.txt | sort -u | xargs); \
+		grep '^note: SHAPE CHECK FAILED' build/shapes.txt || true; \
+		echo "failing shape checks: [$$failing], expected: [$(SHAPES_KNOWN_FAILING)]"; \
+		if [ "$$failing" != "$(SHAPES_KNOWN_FAILING)" ]; then \
+			echo "shape gate: the failing set changed; fix the regression, or update"; \
+			echo "SHAPES_KNOWN_FAILING and EXPERIMENTS.md if a check now passes"; exit 1; fi
 
 # Runner benchmark: serial vs parallel (cold pool / warm pool), cold vs
 # warm cache, on a 64-cell grid, plus a 2/4/8-worker scaling curve —

@@ -90,6 +90,20 @@ def _seq_read_warm(t: ThreadCtx, buf_bytes: int, passes: int) -> Iterator[Event]
             yield from t.read_block(buf.base, buf_bytes)
 
 
+def _seq_read_l2_warm(t: ThreadCtx, buf_bytes: int, passes: int) -> Iterator[Event]:
+    """Repeated loads over a buffer larger than L1 but resident below it.
+
+    After the first pass every load misses L1 and hits the next level:
+    the time is the hit-below-L1 walk — probe, the partial fill of the
+    levels above the hit and the L1 eviction it makes — with no device
+    traffic.  No other cell isolates that path.
+    """
+    buf = t.alloc(buf_bytes, label="bench_l2")
+    with t.function("bench_seq_read_l2", file="bench.py", line=8):
+        for _ in range(passes):
+            yield from t.read_block(buf.base, buf_bytes)
+
+
 def _strided_read_warm(t: ThreadCtx, buf_bytes: int, passes: int) -> Iterator[Event]:
     """Repeated 8-byte loads, one per line, over a cache-resident buffer.
 
@@ -156,6 +170,7 @@ BENCHMARKS: Dict[str, Tuple[Callable[..., Iterator[Event]], Tuple[int, int], Tup
     "seq_write_cold": (_seq_write_cold, (2 * 1024 * 1024, 1), (256 * 1024, 1)),
     "seq_read_warm": (_seq_read_warm, (16 * 1024, 400), (16 * 1024, 60)),
     "strided_read_warm": (_strided_read_warm, (16 * 1024, 400), (16 * 1024, 60)),
+    "seq_read_l2_warm": (_seq_read_l2_warm, (96 * 1024, 40), (96 * 1024, 6)),
     "rand_write_cold": (_rand_write_cold, (1024 * 1024, 1), (128 * 1024, 1)),
     "rand_read_cold": (_rand_read_cold, (1024 * 1024, 1), (128 * 1024, 1)),
     "mixed_cold": (_mixed_cold, (1024 * 1024, 1), (128 * 1024, 1)),

@@ -29,7 +29,8 @@ available.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from types import CodeType
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.replacement import (
@@ -316,36 +317,53 @@ class CacheLevel:
         )
 
 
-def _build_fill_all(levels: Sequence["CacheLevel"]):
-    """Generate the fused miss-everywhere fill walk (DESIGN.md §15).
+#: Compiled hierarchy walks, keyed by generated source text.  The source
+#: bakes in only geometry and policy literals, so every hierarchy of one
+#: shape shares one code object and pays a compile once per process.
+_WALK_CODE: Dict[str, CodeType] = {}
 
-    Emits one specialised ``fill_all(line, wb) -> int`` that installs
-    ``line`` into every level, outermost first — first-empty-way scan,
-    else the policy's fused ``evict_insert`` — propagating evictions the
-    way the generic walk does: an inner victim pushes its dirt one level
-    out (inclusion keeps it resident below), the last-level victim
-    back-invalidates the inner columns, and dirt that reaches memory is
-    appended to ``wb``.  Returns the innermost (L1) slot the line landed
-    in.
 
-    The source is generated per hierarchy and ``exec``-compiled once
-    (the ``collections.namedtuple`` technique), so every per-level
-    constant — way count, set count, hash choice, policy flavour — is
-    baked in as a literal and every column is a plain name binding: a
-    three-level cold fill runs without a single Python call beyond the
-    policy's RNG draw.  Levels running :class:`IntelLikePolicy` on
-    LUT-sized sets get the victim pick and recency touch emitted as the
-    table lookups ``evict_insert``/``on_access`` would perform —
-    identical RNG draws, identical state transitions — while any other
-    policy keeps its bound method calls, so seeded runs are
-    bit-identical to the generic walk either way.
+def _build_walk(levels: Sequence[CacheLevel]) -> Tuple[Callable, Callable, Callable]:
+    """Generate the hierarchy's miss walks (DESIGN.md §15).
+
+    Emits, for one hierarchy, three specialised functions over its flat
+    columns:
+
+    * ``walk(line, is_write) -> HierarchyAccessResult`` — the whole
+      access: probe each level in turn (a miss counter per missed level,
+      then the hit level's hit counter, recency touch and, on a write,
+      dirty bit), fill the levels above the hit outermost first, mark
+      the innermost copy dirty on a write (a second L1 touch plus the
+      dirty bit), and return the hit level's name, the summed hit
+      latencies and the writebacks the fills pushed out.
+    * ``fill_all(line, wb) -> int`` — the miss-everywhere fill alone,
+      returning the L1 slot; the fused store kernel batches the miss
+      counters and the dirty mark itself.
+    * ``write_miss(line, wb)`` — ``walk(line, True)`` for a line
+      resident nowhere, writebacks appended to ``wb``.
+
+    Each fill installs into the first empty way, else the policy's fused
+    ``evict_insert`` victim, and propagates the eviction inline: an inner
+    victim pushes its dirt one level out (inclusion keeps it resident
+    below), the last-level victim back-invalidates the inner columns,
+    and dirt that reaches memory is appended to the writeback list.
+
+    Every per-level constant — way count, set count, hash choice, hit
+    latency, policy flavour — is a source literal and every column a
+    plain name binding (the ``collections.namedtuple`` technique).
+    Levels running :class:`IntelLikePolicy` on LUT-sized sets get the
+    victim pick and recency touch emitted as the table lookups
+    ``evict_insert``/``on_access`` perform — identical RNG draws,
+    identical state transitions — while any other policy keeps its
+    bound method calls in the same order, so seeded runs draw the same
+    randomness either way.  Only the namespace is per hierarchy: the
+    source is compiled once per distinct text (``_WALK_CODE``) and
+    ``exec``-ed into a fresh namespace here.
     """
     last = len(levels) - 1
-    ns: dict = {"SimulationError": SimulationError}
-    src = ["def fill_all(line, wb):"]
-    for i in range(last, -1, -1):
-        lvl = levels[i]
-        ways = lvl._ways
+    ns: dict = {"SimulationError": SimulationError, "R": HierarchyAccessResult}
+    intel = []
+    for i, lvl in enumerate(levels):
         ns[f"t{i}"] = lvl._tags
         ns[f"d{i}"] = lvl._dirty
         ns[f"x{i}"] = lvl._index
@@ -353,99 +371,158 @@ def _build_fill_all(levels: Sequence["CacheLevel"]):
         ns[f"fl{i}"] = lvl._set_fill
         ns[f"st{i}"] = lvl.stats
         policy = lvl.policy
-        intel = type(policy) is IntelLikePolicy and ways <= _PLRU_LUT_MAX_WAYS
-        if intel:
-            ns[f"a{i}"], ns[f"o{i}"], ns[f"v{i}"] = _plru_lut(ways)
+        lut = type(policy) is IntelLikePolicy and lvl._ways <= _PLRU_LUT_MAX_WAYS
+        intel.append(lut)
+        if lut:
+            ns[f"a{i}"], ns[f"o{i}"], ns[f"v{i}"] = _plru_lut(lvl._ways)
             ns[f"r{i}"] = policy._rand
         else:
             ns[f"oi{i}"] = policy.on_insert
             ns[f"ei{i}"] = policy.evict_insert
             ns[f"oa{i}"] = policy.on_access
-        src.append(f"    # -- {lvl.spec.name} --")
+    src: List[str] = []
+    emit = src.append
+
+    def touch(i: int, slot: str, E: str) -> None:
+        """Recency touch (``on_access``) of ``slot`` at level ``i``."""
+        ways = levels[i]._ways
+        emit(E + f"ts = {slot} // {ways}")
+        if intel[i]:
+            emit(E + f"tw = {slot} - ts * {ways}")
+            emit(E + f"s = p{i}[ts]")
+            emit(E + f"s[0] = (s[0] & a{i}[tw]) | o{i}[tw]")
+        else:
+            emit(E + f"oa{i}(p{i}[ts], {slot} - ts * {ways})")
+
+    def fill(i: int, E: str) -> None:
+        """Install ``line`` at level ``i``; leaves its slot in ``slot``."""
+        lvl = levels[i]
+        ways = lvl._ways
+        emit(E + f"# -- fill {lvl.spec.name} --")
         if lvl.hashed_index:
-            src.append(f"    set_i = ((line * 0x9E3779B97F4A7C15) >> 17) % {lvl.num_sets}")
+            emit(E + f"set_i = ((line * 0x9E3779B97F4A7C15) >> 17) % {lvl.num_sets}")
         else:
-            src.append(f"    set_i = line % {lvl.num_sets}")
-        src.append(f"    base = set_i * {ways}")
-        src.append(f"    if fl{i}[set_i] < {ways}:")
-        src.append(f"        slot = base")
-        src.append(f"        while t{i}[slot] != {EMPTY}:")
-        src.append( "            slot += 1")
-        src.append(f"        t{i}[slot] = line")
-        src.append(f"        d{i}[slot] = 0")
-        src.append(f"        x{i}[line] = slot")
-        src.append(f"        fl{i}[set_i] += 1")
-        if intel:
-            src.append( "        w = slot - base")
-            src.append(f"        s = p{i}[set_i]")
-            src.append(f"        s[0] = (s[0] & a{i}[w]) | o{i}[w]")
+            emit(E + f"set_i = line % {lvl.num_sets}")
+        emit(E + f"base = set_i * {ways}")
+        emit(E + f"if fl{i}[set_i] < {ways}:")
+        emit(E + "    slot = base")
+        emit(E + f"    while t{i}[slot] != {EMPTY}:")
+        emit(E + "        slot += 1")
+        emit(E + f"    t{i}[slot] = line")
+        emit(E + f"    d{i}[slot] = 0")
+        emit(E + f"    x{i}[line] = slot")
+        emit(E + f"    fl{i}[set_i] += 1")
+        if intel[i]:
+            emit(E + "    w = slot - base")
+            emit(E + f"    s = p{i}[set_i]")
+            emit(E + f"    s[0] = (s[0] & a{i}[w]) | o{i}[w]")
         else:
-            src.append(f"        oi{i}(p{i}[set_i], slot - base)")
-        if i == 0:
-            src.append("        return slot")
-            E = "    "
+            emit(E + f"    oi{i}(p{i}[set_i], slot - base)")
+        emit(E + "else:")
+        E += "    "
+        if intel[i]:
+            emit(E + f"s = p{i}[set_i]")
+            emit(E + "si = s[0]")
+            emit(E + f"if r{i}() < {lvl.policy.random_prob!r}:")
+            emit(E + f"    w = int(r{i}() * {ways})")
+            emit(E + "else:")
+            emit(E + f"    w = v{i}[si]")
+            emit(E + f"s[0] = (si & a{i}[w]) | o{i}[w]")
         else:
-            src.append("    else:")
-            E = "        "
-        if intel:
-            src.append(E + f"s = p{i}[set_i]")
-            src.append(E + "si = s[0]")
-            src.append(E + f"if r{i}() < {policy.random_prob!r}:")
-            src.append(E + f"    w = int(r{i}() * {ways})")
-            src.append(E + "else:")
-            src.append(E + f"    w = v{i}[si]")
-            src.append(E + f"s[0] = (si & a{i}[w]) | o{i}[w]")
-        else:
-            src.append(E + f"w = ei{i}(p{i}[set_i])")
-        src.append(E + "vslot = base + w")
-        src.append(E + f"victim = t{i}[vslot]")
-        src.append(E + f"if victim == {EMPTY}:")
+            emit(E + f"w = ei{i}(p{i}[set_i])")
+        emit(E + "slot = base + w")
+        emit(E + f"victim = t{i}[slot]")
+        emit(E + f"if victim == {EMPTY}:")
         # The set is full here (set_fill == ways), so every way the
         # policy may rank holds a resident line; a miss means the policy
         # state desynced from the tag column.
-        src.append(E + f"    raise SimulationError({lvl.spec.name!r} + ': policy chose an empty way as victim')")
-        src.append(E + f"vd = d{i}[vslot]")
-        src.append(E + f"del x{i}[victim]")
-        src.append(E + f"st{i}.evictions += 1")
-        src.append(E + "if vd:")
-        src.append(E + f"    st{i}.dirty_evictions += 1")
-        src.append(E + f"t{i}[vslot] = line")
-        src.append(E + f"d{i}[vslot] = 0")
-        src.append(E + f"x{i}[line] = vslot")
+        emit(E + f"    raise SimulationError({lvl.spec.name!r} + ': policy chose an empty way as victim')")
+        emit(E + f"vd = d{i}[slot]")
+        emit(E + f"del x{i}[victim]")
+        emit(E + f"st{i}.evictions += 1")
+        emit(E + "if vd:")
+        emit(E + f"    st{i}.dirty_evictions += 1")
+        emit(E + f"t{i}[slot] = line")
+        emit(E + f"d{i}[slot] = 0")
+        emit(E + f"x{i}[line] = slot")
         if i == last:
-            src.append(E + "owed = vd != 0")
+            # Last-level victim: back-invalidate the inner levels,
+            # innermost first, collecting their dirt.
+            emit(E + "owed = vd != 0")
             for j in range(last):
-                src.append(E + f"islot = x{j}.pop(victim, None)")
-                src.append(E + "if islot is not None:")
-                src.append(E + f"    if d{j}[islot]:")
-                src.append(E + "        owed = True")
-                src.append(E + f"        d{j}[islot] = 0")
-                src.append(E + f"    t{j}[islot] = {EMPTY}")
-                src.append(E + f"    fl{j}[islot // {levels[j]._ways}] -= 1")
-                src.append(E + f"    st{j}.invalidations += 1")
-            src.append(E + "if owed:")
-            src.append(E + "    wb.append(victim)")
+                emit(E + f"islot = x{j}.pop(victim, None)")
+                emit(E + "if islot is not None:")
+                emit(E + f"    if d{j}[islot]:")
+                emit(E + "        owed = True")
+                emit(E + f"        d{j}[islot] = 0")
+                emit(E + f"    t{j}[islot] = {EMPTY}")
+                emit(E + f"    fl{j}[islot // {levels[j]._ways}] -= 1")
+                emit(E + f"    st{j}.invalidations += 1")
+            emit(E + "if owed:")
+            emit(E + "    wb.append(victim)")
         else:
+            # Inner victim: push its dirt one level out, or straight to
+            # memory when an outer eviction already dropped it there.
             b = i + 1
-            b_lvl = levels[b]
-            b_intel = type(b_lvl.policy) is IntelLikePolicy and b_lvl._ways <= _PLRU_LUT_MAX_WAYS
-            src.append(E + f"bslot = x{b}.get(victim)")
-            src.append(E + "if bslot is None:")
-            src.append(E + "    if vd:")
-            src.append(E + "        wb.append(victim)")
-            src.append(E + "elif vd:")
-            src.append(E + f"    bset = bslot // {b_lvl._ways}")
-            if b_intel:
-                src.append(E + f"    bw = bslot - bset * {b_lvl._ways}")
-                src.append(E + f"    bs = p{b}[bset]")
-                src.append(E + f"    bs[0] = (bs[0] & a{b}[bw]) | o{b}[bw]")
-            else:
-                src.append(E + f"    oa{b}(p{b}[bset], bslot - bset * {b_lvl._ways})")
-            src.append(E + f"    d{b}[bslot] = 1")
-        if i == 0:
-            src.append(E + "return vslot")
-    exec(compile("\n".join(src), "<fused-fill>", "exec"), ns)
-    return ns["fill_all"]
+            emit(E + f"bslot = x{b}.get(victim)")
+            emit(E + "if bslot is None:")
+            emit(E + "    if vd:")
+            emit(E + "        wb.append(victim)")
+            emit(E + "elif vd:")
+            touch(b, "bslot", E + "    ")
+            emit(E + f"    d{b}[bslot] = 1")
+
+    def mark(E: str) -> None:
+        """Dirty the innermost copy: a second L1 touch plus the dirty bit.
+
+        A LUT touch is idempotent (``o & a == 0``), so repeating the
+        touch the probe or fill just made is skipped there.
+        """
+        if not intel[0]:
+            touch(0, "slot", E)
+        emit(E + "d0[slot] = 1")
+
+    emit("def fill_all(line, wb):")
+    for i in range(last, -1, -1):
+        fill(i, "    ")
+    emit("    return slot")
+
+    emit("def write_miss(line, wb):")
+    for i in range(last + 1):
+        emit(f"    st{i}.misses += 1")
+    emit("    slot = fill_all(line, wb)")
+    mark("    ")
+
+    emit("def walk(line, is_write):")
+    latency = 0
+    for h, lvl in enumerate(levels):
+        latency += lvl.spec.hit_latency
+        emit(f"    slot = x{h}.get(line)")
+        emit("    if slot is not None:")
+        emit(f"        st{h}.hits += 1")
+        touch(h, "slot", "        ")
+        emit("        if is_write:")
+        emit(f"            d{h}[slot] = 1")
+        emit("        wb = []")
+        for i in range(h - 1, -1, -1):
+            fill(i, "        ")
+        emit("        if is_write:")
+        mark("            ")
+        emit(f"        return R({lvl.spec.name!r}, {latency}, wb, False)")
+        emit(f"    st{h}.misses += 1")
+    emit("    wb = []")
+    for i in range(last, -1, -1):
+        fill(i, "    ")
+    emit("    if is_write:")
+    mark("        ")
+    emit(f"    return R('memory', {latency}, wb, True)")
+
+    text = "\n".join(src)
+    code = _WALK_CODE.get(text)
+    if code is None:
+        code = _WALK_CODE[text] = compile(text, "<cache-walk>", "exec")
+    exec(code, ns)
+    return ns["walk"], ns["fill_all"], ns["write_miss"]
 
 
 @dataclass
@@ -494,14 +571,24 @@ class CacheHierarchy:
         l1 = self.levels[0]
         self._l1_index = l1._index
         self._l1_hit = HierarchyAccessResult(l1.spec.name, l1.spec.hit_latency, (), False)  # type: ignore[arg-type]
-        # Fused miss walk (DESIGN.md §15): one generated function for the
-        # whole hierarchy, specialised to its level geometry and
-        # policies.  All referenced containers are mutated in place and
-        # never reassigned, so the generated code stays valid for the
-        # hierarchy's life.
+        # The generated walks (DESIGN.md §15), specialised to this
+        # hierarchy's geometry and policies.  All referenced containers
+        # are mutated in place and never reassigned, so the generated
+        # code stays valid for the hierarchy's life.
+        #
+        # ``_access_line_slow(line, is_write)`` is every access past the
+        # L1 fast path below: probe, fills, evictions, writebacks.
+        # ``fill_write_miss(line, writebacks)`` is the write-allocate
+        # walk for a line resident *nowhere* — ``_access_line_slow(line,
+        # True)`` without the result, dirty lines that reach memory
+        # appended to the caller's scratch list; callers must have
+        # established that no level holds ``line``.  ``_fill_all(line,
+        # wb) -> l1_slot`` is its fill alone, for the fused store kernel
+        # that batches the miss counters and dirty mark itself.
         self._level_stats = [lvl.stats for lvl in self.levels]
-        self._fill_all = _build_fill_all(self.levels)
-        self._l1_mark = (l1._index, l1._dirty, l1._policy_state, l1.policy.on_access, l1._ways)
+        self._indexes = tuple(lvl._index for lvl in self.levels)
+        self._index_dirty = tuple((lvl._index, lvl._dirty) for lvl in self.levels)
+        self._access_line_slow, self._fill_all, self.fill_write_miss = _build_walk(self.levels)
 
     @property
     def last_level(self) -> CacheLevel:
@@ -521,11 +608,10 @@ class CacheHierarchy:
         slot = self._l1_index.get(line)
         if slot is not None:
             # Innermost hit: bump stats/recency/dirtiness in place and
-            # return the shared result — no Eviction, list, or result
-            # allocation.  Equivalent to the generic path below: that
-            # path nets hits+1 (access +1, bookkeeping re-access +1,
-            # explicit -1) and touches the policy twice with the same
-            # way, which idempotent policies collapse to one touch.
+            # return the shared result — no list or result allocation.
+            # Equivalent to the generated walk's L1-hit branch, which
+            # touches the policy twice with the same way on a write;
+            # idempotent policies collapse that to one touch.
             l1 = self.levels[0]
             ways = l1._ways
             set_i = slot // ways
@@ -538,70 +624,6 @@ class CacheHierarchy:
                     l1.policy.on_access(l1._policy_state[set_i], way_i)
             return self._l1_hit
         return self._access_line_slow(line, is_write)
-
-    def _access_line_slow(self, line: int, is_write: bool) -> HierarchyAccessResult:
-        """The generic walk: inner miss, fills, evictions, writebacks."""
-        latency = 0
-        hit_at: Optional[int] = None
-        for i, lvl in enumerate(self.levels):
-            latency += lvl.spec.hit_latency
-            if lvl.access(line, is_write):
-                hit_at = i
-                break
-        writebacks: List[int] = []
-        if hit_at is None:
-            # Miss everywhere: fill every level, outermost first so that
-            # inclusion holds even if an inner install evicts.
-            for idx in range(len(self.levels) - 1, -1, -1):
-                evicted = self.levels[idx].install(line, dirty=False)
-                if evicted is not None:
-                    writebacks.extend(self._handle_eviction(idx, evicted))
-            if is_write:
-                self._mark_dirty_innermost(line)
-            return HierarchyAccessResult("memory", latency, writebacks, memory_access=True)
-        # Fill the levels above the hit (inclusive fills).
-        for idx in range(hit_at - 1, -1, -1):
-            evicted = self.levels[idx].install(line, dirty=False)
-            if evicted is not None:
-                writebacks.extend(self._handle_eviction(idx, evicted))
-        if is_write:
-            self._mark_dirty_innermost(line)
-        return HierarchyAccessResult(self.levels[hit_at].spec.name, latency, writebacks)
-
-    def fill_write_miss(self, line: int, writebacks: List[int]) -> None:
-        """Fused write-allocate walk for a line resident *nowhere*.
-
-        Semantically identical to ``access_line(line, is_write=True)``
-        when every level misses — probe misses, outermost-first fills,
-        eviction propagation, innermost dirty marking — but operating
-        directly on the flat tag/dirty arrays: no Eviction, result, or
-        per-level list is allocated, and dirty lines that reach memory
-        are appended to the caller's ``writebacks`` scratch list.  The
-        policy call sequence (victim / on_insert / on_access) is the same
-        as the generic walk's, so seeded policies draw identical
-        randomness.  Callers must have established that no level contains
-        ``line``; the fused store loop in :mod:`repro.sim.cpu` is the
-        intended user.
-        """
-        for stats in self._level_stats:
-            stats.misses += 1
-        slot = self._fill_all(line, writebacks)
-        # _mark_dirty_innermost, fused: the line was just installed in L1
-        # at ``slot``.
-        _, l1_dirty, l1_pstates, l1_on_access, l1_ways = self._l1_mark
-        set_i = slot // l1_ways
-        l1_on_access(l1_pstates[set_i], slot - set_i * l1_ways)
-        l1_dirty[slot] = 1
-
-    def _mark_dirty_innermost(self, line: int) -> None:
-        for lvl in self.levels:
-            if lvl.contains(line):
-                lvl.access(line, is_write=True)
-                # Undo double-counted hit statistics: access() above was
-                # bookkeeping, not a program access.
-                lvl.stats.hits -= 1
-                return
-        raise SimulationError(f"line {line:#x} vanished during fill")  # pragma: no cover
 
     def _handle_eviction(self, idx: int, evicted: Eviction) -> List[int]:
         """Propagate an eviction from ``levels[idx]``; returns dirty
@@ -683,10 +705,17 @@ class CacheHierarchy:
         return dirty
 
     def contains(self, line: int) -> bool:
-        return any(lvl.contains(line) for lvl in self.levels)
+        for index in self._indexes:
+            if line in index:
+                return True
+        return False
 
     def is_dirty(self, line: int) -> bool:
-        return any(lvl.is_dirty(line) for lvl in self.levels)
+        for index, dirty in self._index_dirty:
+            slot = index.get(line)
+            if slot is not None and dirty[slot]:
+                return True
+        return False
 
     def drain_dirty_lines(self) -> List[int]:
         """Flush: clean every level, returning dirty lines owed to memory.

@@ -767,7 +767,7 @@ class Core:
                     clock += l1_latency + transfer
                     offset += chunk
                     continue
-                # Cold: the generic walk, inline.  Matches _do_read for
+                # Cold: the hierarchy walk, inline.  Matches _do_read for
                 # a single non-forwarded line: fills and evictions, the
                 # (background) device read, writebacks stamped at the
                 # pre-wait clock, then the latency/occupancy wait.

@@ -4,7 +4,7 @@ The hierarchy keeps each level's truth in flat columns (tags, dirty,
 set-fill) plus an index and a per-set policy state.  These must never
 desync: the victim a policy ranks has to hold a resident line whenever
 the set is full.  Both the generic :meth:`CacheLevel.install` and the
-generated ``<fused-fill>`` walk guard that with a
+generated ``<cache-walk>`` code guard that with a
 "policy chose an empty way as victim" :class:`SimulationError` —
 converted here from a defensive raise into a tested invariant, after a
 real desync bug: ``demote_line`` used to drop the LLC eviction its
@@ -117,7 +117,7 @@ class TestVictimInvariant:
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_fused_fill_raises_on_desynced_state(self, policy):
-        # The same invariant lives in the generated <fused-fill> code:
+        # The same invariant lives in the generated <cache-walk> code:
         # corrupt the LLC's set 0 the same way, then drive a
         # miss-everywhere fill through the hierarchy's fused walk.
         h = _hierarchy(policy)
@@ -132,6 +132,21 @@ class TestVictimInvariant:
         assert not h.contains(fresh)
         with pytest.raises(SimulationError, match="L2: policy chose an empty way"):
             h.fill_write_miss(fresh, [])
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_access_walk_raises_on_desynced_state(self, policy):
+        # The access walk emits its own copy of each fill: the same
+        # corruption must stop a plain miss-everywhere read too.
+        h = _hierarchy(policy)
+        l2 = h.last_level
+        for i in range(l2.spec.ways):
+            h.access_line(i * l2.num_sets, is_write=False)
+        for way in range(l2.spec.ways):
+            l2._tags[way] = EMPTY
+        fresh = l2.num_sets * l2.spec.ways
+        assert not h.contains(fresh)
+        with pytest.raises(SimulationError, match="L2: policy chose an empty way"):
+            h.access_line(fresh, is_write=False)
 
 
 class TestDemotePropagatesEvictions:
