@@ -176,7 +176,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     cache.add_argument(
         "--gc",
         action="store_true",
-        help="adopt/migrate stray payloads, drop orphaned index entries, compact",
+        help="adopt untracked payloads, delete misplaced ones, drop orphaned entries, compact",
     )
 
     args = parser.parse_args(argv)

@@ -12,10 +12,10 @@ Throughput comes from two mechanisms (DESIGN.md §16):
 
 * **persistent warm workers** — pools start with
   :func:`_pool_initializer`, which pre-imports the simulator stack and
-  primes per-preset construction caches (PLRU LUTs, module imports), and
-  a :func:`runner_session` keeps one pool alive across every
-  ``execute_cells`` call in the block, so spawn + import cost is paid
-  once per session, not once per sweep;
+  primes per-preset construction caches (the generated cache-walk
+  compile memo, module imports), and a :func:`runner_session` keeps one
+  pool alive across every ``execute_cells`` call in the block, so spawn
+  + import cost is paid once per session, not once per sweep;
 * **chunked dispatch** — cells are submitted in size-adaptive chunks
   (:func:`_auto_chunk_size`), amortising pickle/future/IPC overhead;
   the worker runs each cell of a chunk independently and reports
@@ -186,8 +186,9 @@ def _pool_initializer() -> None:
 
     Pre-imports the simulator/workload/experiment stack and constructs
     one throwaway :class:`~repro.sim.machine.Machine` per common preset,
-    priming process-wide caches (tree-PLRU victim LUTs, module import
-    machinery) so the first real cell pays simulation cost only.  Any
+    priming process-wide caches (the generated cache-walk compile memo,
+    module import machinery) so the first real cell pays simulation cost
+    only.  Any
     failure here is swallowed: warming is an optimisation, never a
     correctness dependency.
     """

@@ -33,12 +33,7 @@ from types import CodeType
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.replacement import (
-    _PLRU_LUT_MAX_WAYS,
-    IntelLikePolicy,
-    ReplacementPolicy,
-    _plru_lut,
-)
+from repro.sim.replacement import IntelLikePolicy, ReplacementPolicy, _plru_levels, tree_tables
 
 try:  # pragma: no cover - exercised implicitly everywhere numpy exists
     import numpy as _np
@@ -351,18 +346,20 @@ def _build_walk(levels: Sequence[CacheLevel]) -> Tuple[Callable, Callable, Calla
     Every per-level constant — way count, set count, hash choice, hit
     latency, policy flavour — is a source literal and every column a
     plain name binding (the ``collections.namedtuple`` technique).
-    Levels running :class:`IntelLikePolicy` on LUT-sized sets get the
-    victim pick and recency touch emitted as the table lookups
-    ``evict_insert``/``on_access`` perform — identical RNG draws,
-    identical state transitions — while any other policy keeps its
-    bound method calls in the same order, so seeded runs draw the same
-    randomness either way.  Only the namespace is per hierarchy: the
-    source is compiled once per distinct text (``_WALK_CODE``) and
-    ``exec``-ed into a fresh namespace here.
+    Levels running :class:`TreePLRU` or :class:`IntelLikePolicy` (exact
+    types, at any way count) get the recency touch emitted as the mask
+    update ``on_access`` performs and the victim pick as the top-table
+    lookup plus one unrolled step per deeper tree level, after the
+    random pick on an intel-like level — identical RNG draws, identical
+    state transitions — while any other policy keeps its bound method
+    calls in the same order, so seeded runs draw the same randomness
+    either way.  Only the namespace is per hierarchy: the source is
+    compiled once per distinct text (``_WALK_CODE``) and ``exec``-ed
+    into a fresh namespace here.
     """
     last = len(levels) - 1
     ns: dict = {"SimulationError": SimulationError, "R": HierarchyAccessResult}
-    intel = []
+    tree = []
     for i, lvl in enumerate(levels):
         ns[f"t{i}"] = lvl._tags
         ns[f"d{i}"] = lvl._dirty
@@ -371,11 +368,12 @@ def _build_walk(levels: Sequence[CacheLevel]) -> Tuple[Callable, Callable, Calla
         ns[f"fl{i}"] = lvl._set_fill
         ns[f"st{i}"] = lvl.stats
         policy = lvl.policy
-        lut = type(policy) is IntelLikePolicy and lvl._ways <= _PLRU_LUT_MAX_WAYS
-        intel.append(lut)
-        if lut:
-            ns[f"a{i}"], ns[f"o{i}"], ns[f"v{i}"] = _plru_lut(lvl._ways)
-            ns[f"r{i}"] = policy._rand
+        tables = tree_tables(policy, lvl._ways)
+        tree.append(tables is not None)
+        if tables is not None:
+            ns[f"a{i}"], ns[f"o{i}"], ns[f"v{i}"] = tables
+            if type(policy) is IntelLikePolicy:
+                ns[f"r{i}"] = policy._rand
         else:
             ns[f"oi{i}"] = policy.on_insert
             ns[f"ei{i}"] = policy.evict_insert
@@ -387,7 +385,7 @@ def _build_walk(levels: Sequence[CacheLevel]) -> Tuple[Callable, Callable, Calla
         """Recency touch (``on_access``) of ``slot`` at level ``i``."""
         ways = levels[i]._ways
         emit(E + f"ts = {slot} // {ways}")
-        if intel[i]:
+        if tree[i]:
             emit(E + f"tw = {slot} - ts * {ways}")
             emit(E + f"s = p{i}[ts]")
             emit(E + f"s[0] = (s[0] & a{i}[tw]) | o{i}[tw]")
@@ -412,7 +410,7 @@ def _build_walk(levels: Sequence[CacheLevel]) -> Tuple[Callable, Callable, Calla
         emit(E + f"    d{i}[slot] = 0")
         emit(E + f"    x{i}[line] = slot")
         emit(E + f"    fl{i}[set_i] += 1")
-        if intel[i]:
+        if tree[i]:
             emit(E + "    w = slot - base")
             emit(E + f"    s = p{i}[set_i]")
             emit(E + f"    s[0] = (s[0] & a{i}[w]) | o{i}[w]")
@@ -420,13 +418,19 @@ def _build_walk(levels: Sequence[CacheLevel]) -> Tuple[Callable, Callable, Calla
             emit(E + f"    oi{i}(p{i}[set_i], slot - base)")
         emit(E + "else:")
         E += "    "
-        if intel[i]:
+        if tree[i]:
             emit(E + f"s = p{i}[set_i]")
             emit(E + "si = s[0]")
-            emit(E + f"if r{i}() < {lvl.policy.random_prob!r}:")
-            emit(E + f"    w = int(r{i}() * {ways})")
-            emit(E + "else:")
-            emit(E + f"    w = v{i}[si]")
+            pick = E
+            if type(lvl.policy) is IntelLikePolicy:
+                emit(E + f"if r{i}() < {lvl.policy.random_prob!r}:")
+                emit(E + f"    w = int(r{i}() * {ways})")
+                emit(E + "else:")
+                pick += "    "
+            deeper = _plru_levels(ways)
+            emit(pick + (f"w = v{i}[si & 127]" if deeper else f"w = v{i}[si]"))
+            for base in deeper:
+                emit(pick + f"w = 2 * w + ((si >> ({base} + w)) & 1)")
             emit(E + f"s[0] = (si & a{i}[w]) | o{i}[w]")
         else:
             emit(E + f"w = ei{i}(p{i}[set_i])")
@@ -475,10 +479,10 @@ def _build_walk(levels: Sequence[CacheLevel]) -> Tuple[Callable, Callable, Calla
     def mark(E: str) -> None:
         """Dirty the innermost copy: a second L1 touch plus the dirty bit.
 
-        A LUT touch is idempotent (``o & a == 0``), so repeating the
+        A tree touch is idempotent (``o & a == 0``), so repeating the
         touch the probe or fill just made is skipped there.
         """
-        if not intel[0]:
+        if not tree[0]:
             touch(0, "slot", E)
         emit(E + "d0[slot] = 1")
 

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 from repro.core.prestore import CYCLES_PER_PRESTORE, PrestoreOp
 from repro.errors import SimulationError
 from repro.sim.event import STREAM_KINDS, Event, EventKind
-from repro.sim.replacement import _PLRU_LUT_MAX_WAYS, IntelLikePolicy, _plru_lut
+from repro.sim.replacement import tree_tables
 from repro.sim.stats import CoreStats
 from repro.sim.store_buffer import StoreBuffer
 
@@ -66,14 +66,12 @@ class Core:
         #: Outer-level line indexes, innermost-but-one first — the fused
         #: store loop's residency probe (replaces hierarchy.contains).
         self._other_indexes = [lvl._index for lvl in machine.hierarchy.levels[1:]]
-        #: L1 recency-touch tables when L1 runs the LUT-encoded
-        #: intel-like policy: ``(and_masks, or_masks)`` let the fused
-        #: loops mark a hit way without a policy call (same state
-        #: transition on_access computes).  None on other policies.
-        self._l1_touch = None
-        if type(l1.policy) is IntelLikePolicy and l1._ways <= _PLRU_LUT_MAX_WAYS:
-            l1_and, l1_or, _ = _plru_lut(l1._ways)
-            self._l1_touch = (l1_and, l1_or)
+        #: L1 recency-touch tables when L1 runs a tree-PLRU policy:
+        #: ``(and_masks, or_masks)`` let the fused loops mark a hit way
+        #: without a policy call (same state transition on_access
+        #: computes).  None on other policies.
+        tables = tree_tables(l1.policy, l1._ways)
+        self._l1_touch = tables[:2] if tables is not None else None
         #: Reusable writeback scratch for the fused miss walk.
         self._wb_scratch: list = []
         #: The fused stream loop collapses the reference interpreter's
@@ -173,10 +171,10 @@ class Core:
         handler = self._handlers.get(kind)
         if handler is None:
             if kind in STREAM_KINDS:
-                # Direct callers get the whole run; the machine scheduler
-                # expands streams itself so it can honour preemption.
-                self.execute_stream(event)
-                return
+                raise SimulationError(
+                    f"Core.execute() got stream event {event!r}; run streams "
+                    "through Machine.step (or Machine.run), which expands them"
+                )
             raise SimulationError(f"unknown event kind {kind!r}")
         self.stats.instructions += 1
         handler(event)
@@ -562,7 +560,7 @@ class Core:
                         if l1_touch is None:
                             set_i = loc // l1_ways
                             on_access(l1_pstate[set_i], loc - set_i * l1_ways)
-                        # (LUT policies: the dirty-mark touch repeats the
+                        # (Tree policies: the dirty-mark touch repeats the
                         # install touch bit-for-bit, so it is skipped.)
                         l1_dirty[loc] = 1
                         if inline_dev:

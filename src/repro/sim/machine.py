@@ -45,6 +45,7 @@ from repro.sim.stats import RunResult
 __all__ = [
     "MachineSpec",
     "Machine",
+    "PRESETS",
     "Tracer",
     "machine_a",
     "machine_a_cxl",
@@ -589,3 +590,13 @@ def machine_b_slow(l2_kb: int = 512, num_cores: int = 12, seed: int = 42) -> Mac
     Representative of medium-tier CXL-accessible storage (Section 3).
     """
     return _machine_b("machine-B-slow", 200, 0.75, l2_kb, num_cores, seed)
+
+
+#: The machine presets by the name every ``--machine`` option takes.
+PRESETS = {
+    "a": machine_a,
+    "a-cxl": machine_a_cxl,
+    "dram": machine_dram,
+    "b-fast": machine_b_fast,
+    "b-slow": machine_b_slow,
+}

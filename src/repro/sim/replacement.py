@@ -163,27 +163,24 @@ class RandomReplacement(ReplacementPolicy):
         return self._rng.randrange(state)  # on_insert is a no-op
 
 
-#: Memoised tree-PLRU lookup tables keyed by way count.  A PLRU *touch*
-#: writes fixed bits along a path determined only by the touched way —
-#: never by the current state — so it collapses to
-#: ``state & and_mask[way] | or_mask[way]`` on an integer-encoded tree
-#: (bit ``i`` of the state is tree node ``i``).  The victim walk *is*
-#: state-dependent, so it is tabulated over all ``2**(ways-1)`` states.
-#: Table-driven and walk-based forms compute the same function, so mixing
-#: them (e.g. a LUT-capable level next to a legacy one) cannot diverge.
-_PLRU_LUTS: dict = {}
-#: Beyond 16 ways the victim table (``2**(ways-1)`` entries) stops being
-#: worth materialising; callers fall back to the walking form.
-_PLRU_LUT_MAX_WAYS = 16
+#: Memoised tree-PLRU tables keyed by way count.  A set's tree is one
+#: integer (bit ``k`` = heap node ``k``; node ``k``'s children are
+#: ``2k+1`` and ``2k+2``; a set bit means "the right subtree is older").
+#: A *touch* writes fixed bits along a path determined only by the
+#: touched way — never by the current state — so it collapses to
+#: ``state & and_masks[way] | or_masks[way]``.  The victim walk is
+#: state-dependent: ``top`` tabulates it over the top three levels (the
+#: whole tree up to 8 ways, so at most 128 entries) and
+#: :func:`_plru_victim` descends any deeper level one bit at a time.
+_PLRU_TABLES: dict = {}
 
 
-def _plru_lut(ways: int):
-    """``(and_masks, or_masks, victim_table)`` for a ``ways``-way tree."""
-    lut = _PLRU_LUTS.get(ways)
-    if lut is not None:
-        return lut
-    nodes = ways - 1
-    full = (1 << nodes) - 1
+def _plru_tables(ways: int):
+    """``(and_masks, or_masks, top)`` for a ``ways``-way tree."""
+    tables = _PLRU_TABLES.get(ways)
+    if tables is not None:
+        return tables
+    full = (1 << (ways - 1)) - 1
     and_masks: List[int] = []
     or_masks: List[int] = []
     for way in range(ways):
@@ -204,10 +201,11 @@ def _plru_lut(ways: int):
                 lo = mid
         and_masks.append(full & ~clear)
         or_masks.append(setv)
-    victim_table: List[int] = []
-    for state in range(1 << nodes):
+    top_ways = min(ways, 8)
+    top: List[int] = []
+    for state in range(1 << (top_ways - 1)):
         node = 0
-        lo, hi = 0, ways
+        lo, hi = 0, top_ways
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if (state >> node) & 1:
@@ -216,10 +214,42 @@ def _plru_lut(ways: int):
             else:
                 node = 2 * node + 1
                 hi = mid
-        victim_table.append(lo)
-    lut = (and_masks, or_masks, victim_table)
-    _PLRU_LUTS[ways] = lut
-    return lut
+        top.append(lo)
+    tables = _PLRU_TABLES[ways] = (and_masks, or_masks, top)
+    return tables
+
+
+def _plru_levels(ways: int) -> List[int]:
+    """First heap node of each tree level below the top three.
+
+    After ``w = top[s & 127]`` the walk stands at node ``base + w`` of
+    the level starting at ``base``; one step ``w = 2*w + ((s >> (base +
+    w)) & 1)`` per level reaches the victim way.
+    """
+    return [(1 << depth) - 1 for depth in range(3, ways.bit_length() - 1)]
+
+
+def _plru_victim(s: int, top: List[int], ways: int) -> int:
+    """The tree's victim way for state ``s`` (``_plru_levels``, looped)."""
+    w = top[s & 127]
+    base = 7
+    while base < ways - 1:
+        w = 2 * w + ((s >> (base + w)) & 1)
+        base = 2 * base + 1
+    return w
+
+
+def tree_tables(policy: "ReplacementPolicy", ways: int):
+    """``(and_masks, or_masks, top)`` when ``policy`` is exactly
+    :class:`TreePLRU` or :class:`IntelLikePolicy`, else None.
+
+    The simulator's generated cache walk and fused loops inline the
+    tree touch and victim pick for these two; a subclass (which may
+    override any call) or another policy keeps its bound methods.
+    """
+    if type(policy) is TreePLRU or type(policy) is IntelLikePolicy:
+        return _plru_tables(ways)
+    return None
 
 
 class TreePLRU(ReplacementPolicy):
@@ -229,83 +259,37 @@ class TreePLRU(ReplacementPolicy):
     bits points away from recently used ways.  Pseudo-LRU approximates LRU
     well but diverges under exactly the interleaved access patterns the
     paper cares about, producing out-of-order evictions.
+
+    A set's state is ``[tree, and_masks, or_masks, top, ways]``: the
+    integer-encoded tree plus its way count's shared tables.
     """
 
     name = "tree-plru"
 
-    def new_set(self, ways: int) -> List[int]:
+    def new_set(self, ways: int) -> List[Any]:
         if ways & (ways - 1):
             raise ConfigurationError(f"TreePLRU requires power-of-two ways, got {ways}")
-        # bits[0] is the root; children of node i are 2i+1 and 2i+2.
-        return [0] * (ways - 1)
+        and_masks, or_masks, top = _plru_tables(ways)
+        return [0, and_masks, or_masks, top, ways]
 
-    def _touch(self, bits: List[int], way: int) -> None:
-        ways = len(bits) + 1
-        node = 0
-        lo, hi = 0, ways
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if way < mid:
-                bits[node] = 1  # point away: right subtree is "older"
-                node = 2 * node + 1
-                hi = mid
-            else:
-                bits[node] = 0
-                node = 2 * node + 2
-                lo = mid
-        del node  # fully descended
+    def on_access(self, state: List[Any], way: int) -> None:
+        # This is the hottest policy call in the simulator: every hit
+        # and every fill.
+        state[0] = (state[0] & state[1][way]) | state[2][way]
 
-    def on_insert(self, state: List[int], way: int) -> None:
-        self._touch(state, way)
+    on_insert = on_access
 
-    def on_access(self, state: List[int], way: int) -> None:
-        self._touch(state, way)
+    def victim(self, state: List[Any]) -> int:
+        return _plru_victim(state[0], state[3], state[4])
 
-    def victim(self, state: List[int]) -> int:
-        ways = len(state) + 1
-        node = 0
-        lo, hi = 0, ways
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if state[node] == 1:
-                node = 2 * node + 2  # bit points right = right is older
-                lo = mid
-            else:
-                node = 2 * node + 1
-                hi = mid
-        return lo
-
-    def evict_insert(self, state: List[int]) -> int:
-        # victim walk and touch, fused (both loops inlined: this runs
-        # once per conflict miss in the simulator's fused paths).
-        ways = len(state) + 1
-        node = 0
-        lo, hi = 0, ways
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if state[node] == 1:
-                node = 2 * node + 2
-                lo = mid
-            else:
-                node = 2 * node + 1
-                hi = mid
-        way = lo
-        node = 0
-        lo, hi = 0, ways
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if way < mid:
-                state[node] = 1
-                node = 2 * node + 1
-                hi = mid
-            else:
-                state[node] = 0
-                node = 2 * node + 2
-                lo = mid
+    def evict_insert(self, state: List[Any]) -> int:
+        s = state[0]
+        way = _plru_victim(s, state[3], state[4])
+        state[0] = (s & state[1][way]) | state[2][way]
         return way
 
 
-class IntelLikePolicy(ReplacementPolicy):
+class IntelLikePolicy(TreePLRU):
     """Tree-PLRU with a random-victim component, as on Intel cores.
 
     With probability ``random_prob`` the victim is chosen uniformly at
@@ -319,7 +303,6 @@ class IntelLikePolicy(ReplacementPolicy):
         if not 0.0 <= random_prob <= 1.0:
             raise ConfigurationError(f"random_prob must be in [0, 1], got {random_prob}")
         self.random_prob = random_prob
-        self._plru = TreePLRU()
         self._rng = random.Random(seed)
         # Bound RNG draw: victim runs once per conflict miss in the
         # simulator's fused loops, so shave the attribute chains.  The
@@ -329,98 +312,18 @@ class IntelLikePolicy(ReplacementPolicy):
         # spare, so the pick stays uniform.
         self._rand = self._rng.random
 
-    def new_set(self, ways: int) -> Any:
-        # Validate via TreePLRU (power-of-two ways), then prefer the
-        # integer-encoded LUT state: the tree becomes one int, a touch
-        # becomes two table lookups and a mask op, and the victim walk a
-        # single indexed read.  Identical victims and identical RNG draw
-        # order to the walking form — only the representation changes.
-        bits = self._plru.new_set(ways)
-        if ways > _PLRU_LUT_MAX_WAYS:
-            return (ways, bits)
-        and_masks, or_masks, victim_table = _plru_lut(ways)
-        return [0, and_masks, or_masks, victim_table, ways]
-
-    def on_access(self, state: Any, way: int) -> None:
-        # This is the hottest policy call in the simulator: every hit
-        # and every fill.
-        if type(state) is list:
-            state[0] = (state[0] & state[1][way]) | state[2][way]
-            return
-        # Legacy wide-set state: TreePLRU._touch on state[1], inlined.
-        bits = state[1]
-        node = 0
-        lo, hi = 0, len(bits) + 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if way < mid:
-                bits[node] = 1
-                node = 2 * node + 1
-                hi = mid
-            else:
-                bits[node] = 0
-                node = 2 * node + 2
-                lo = mid
-
-    on_insert = on_access
-
-    def victim(self, state: Any) -> int:
-        if type(state) is list:
-            if self._rand() < self.random_prob:
-                return int(self._rand() * state[4])
-            return state[3][state[0]]
-        ways, bits = state
+    def victim(self, state: List[Any]) -> int:
         if self._rand() < self.random_prob:
-            return int(self._rand() * ways)
-        # TreePLRU.victim on bits, inlined.
-        node = 0
-        lo, hi = 0, ways
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if bits[node] == 1:
-                node = 2 * node + 2
-                lo = mid
-            else:
-                node = 2 * node + 1
-                hi = mid
-        return lo
+            return int(self._rand() * state[4])
+        return _plru_victim(state[0], state[3], state[4])
 
-    def evict_insert(self, state: Any) -> int:
-        if type(state) is list:
-            s = state[0]
-            if self._rand() < self.random_prob:
-                way = int(self._rand() * state[4])
-            else:
-                way = state[3][s]
-            state[0] = (s & state[1][way]) | state[2][way]
-            return way
-        ways, bits = state
+    def evict_insert(self, state: List[Any]) -> int:
+        s = state[0]
         if self._rand() < self.random_prob:
-            way = int(self._rand() * ways)
+            way = int(self._rand() * state[4])
         else:
-            node = 0
-            lo, hi = 0, ways
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if bits[node] == 1:
-                    node = 2 * node + 2
-                    lo = mid
-                else:
-                    node = 2 * node + 1
-                    hi = mid
-            way = lo
-        node = 0
-        lo, hi = 0, ways
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if way < mid:
-                bits[node] = 1
-                node = 2 * node + 1
-                hi = mid
-            else:
-                bits[node] = 0
-                node = 2 * node + 2
-                lo = mid
+            way = _plru_victim(s, state[3], state[4])
+        state[0] = (s & state[1][way]) | state[2][way]
         return way
 
 

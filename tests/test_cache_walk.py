@@ -110,8 +110,8 @@ def recording(policy):
     The log is part of the compared state, so the twins must make the
     same calls in the same order — including the repeated touches that
     leave a built-in policy's state unchanged.  A subclass is also not
-    ``IntelLikePolicy`` itself, so the walk takes the bound-method route
-    for it.
+    ``TreePLRU`` or ``IntelLikePolicy`` itself, so the walk takes the
+    bound-method route for it.
     """
     base = type(policy)
 
@@ -160,7 +160,7 @@ def _synthetic(shape, policy, hashed, record):
             level("L2", 1024, 4, 10),
             level("LLC", 4096, 8, 30, hashed),
         ]
-    else:  # "wide": a 32-way last level (beyond the PLRU lookup tables)
+    else:  # "wide": a 32-way last level (two tree levels below the top table)
         levels = [level("L1", 512, 2, 4), level("L2", 4096, 32, 14, hashed)]
     return CacheHierarchy(levels, 64)
 
@@ -186,8 +186,9 @@ def _line_pool(h, size):
 
 
 def _policy_key(state):
-    """A set's policy state, minus the shared lookup tables of the
-    LUT-encoded intel-like state (``[bits, and, or, victims, ways]``)."""
+    """A set's policy state, minus the shared tables of the tree-PLRU
+    state (``[tree, and_masks, or_masks, top, ways]``) — tree-plru and
+    intel-like alike, at every way count."""
     if type(state) is list and len(state) == 5 and type(state[1]) is list:
         return state[0]
     return state
@@ -301,6 +302,25 @@ def test_long_churn_on_three_levels(policy):
     rng = random.Random(4242)
     program = [(rng.choice(OPS), rng.randrange(10**6), rng.random() < 0.3) for _ in range(3000)]
     run_twins(a, b, _line_pool(a, 24), program)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Machine(machine_a()).hierarchy,
+        lambda: _synthetic("wide", "tree-plru", True, False),
+        lambda: _synthetic("wide", "intel-like", True, False),
+    ],
+    ids=["machine_a", "wide-tree-plru", "wide-intel-like"],
+)
+def test_long_churn_on_deep_trees(build):
+    # 16- and 32-way last levels: the generated walk's victim pick takes
+    # one or two steps below the top table.  Enough conflict misses over
+    # a pool of 1.5x the last level's ways to reach many tree states.
+    a, b = build(), build()
+    rng = random.Random(1234)
+    program = [(rng.choice(OPS), rng.randrange(10**6), rng.random() < 0.3) for _ in range(3000)]
+    run_twins(a, b, _line_pool(a, 3 * a.levels[-1].spec.ways // 2), program)
 
 
 # -- the compile memo -------------------------------------------------------------

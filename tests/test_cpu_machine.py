@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.prestore import PrestoreOp
 from repro.errors import SimulationError, WorkloadError
-from repro.sim.event import Mailbox
+from repro.sim.event import Event, EventKind, Mailbox
 from repro.sim.machine import Machine
 from repro.workloads.memapi import Program
 
@@ -61,6 +61,16 @@ class TestBasicExecution:
             program.spawn(body)
         with pytest.raises(WorkloadError):
             program.spawn(body)
+
+    def test_core_execute_rejects_stream_events(self, tiny_machine_dram):
+        # Streams are expanded by Machine.step/run; the core's per-event
+        # interpreter never sees one.
+        machine = Machine(tiny_machine_dram)
+        stream = Event.stream(EventKind.WRITE, 0, 256, 64)
+        with pytest.raises(SimulationError, match="Machine.step"):
+            machine.cores[0].execute(stream)
+        machine.step(machine.cores[0], stream)
+        assert machine.cores[0].stats.instructions == 4
 
 
 class TestFencesAndVisibility:
